@@ -516,8 +516,12 @@ bool NetWorker::step() {
         std::to_string(handshake_failures_) +
         " consecutive connections before completing a handshake");
   // A failed dial does NOT end the step: a worker holding the spec keeps
-  // computing rounds while the coordinator is unreachable.
-  const bool online = transport_.attached() || try_connect();
+  // computing rounds while the coordinator is unreachable. Frames that the
+  // last pump pulled in before the connection died (the coordinator's ack
+  // of the final, which it sends just before it shuts down) are handled
+  // before dialing: attach() discards them, and nobody may be listening.
+  const bool online = transport_.attached() ||
+                      transport_.inbound_pending() > 0 || try_connect();
   bool progress = false;
   bool died = false;
   if (online) {
@@ -562,6 +566,7 @@ bool NetWorker::step() {
       if (!handshaken_) ++handshake_failures_;
       handshaken_ = false;
       died = true;
+      transport_.drop();  // a partial frame left behind is replayed
     }
   }
   progress |= work_step();

@@ -23,7 +23,7 @@ std::string_view BackedWriter::from(std::uint64_t offset) const {
 }
 
 std::size_t BackedReader::offer(std::uint64_t offset, std::string_view chunk) {
-  const std::uint64_t expected = read_seq_ + inbox_.size();
+  const std::uint64_t expected = read_seq_ + inbox().size();
   if (offset > expected)
     throw ProtocolError("BackedReader: gap in the stream (got offset " +
                         std::to_string(offset) + ", expected " +
@@ -37,12 +37,18 @@ std::size_t BackedReader::offer(std::uint64_t offset, std::string_view chunk) {
 }
 
 void BackedReader::consume(std::size_t n) {
-  if (n > inbox_.size())
+  if (n > inbox().size())
     throw ProtocolError("BackedReader: consume of " + std::to_string(n) +
                         " bytes exceeds the " +
-                        std::to_string(inbox_.size()) + "-byte inbox");
-  inbox_.erase(0, n);
+                        std::to_string(inbox().size()) + "-byte inbox");
+  head_ += n;
   read_seq_ += n;
+  if (head_ == inbox_.size()) {
+    clear_inbox();
+  } else if (head_ > inbox_.size() - head_) {
+    inbox_.erase(0, head_);
+    head_ = 0;
+  }
 }
 
 }  // namespace hadas::net

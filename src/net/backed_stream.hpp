@@ -57,11 +57,16 @@ class BackedWriter {
 /// holds bytes received but not yet consumed by the application; read_seq
 /// advances only via consume(), which the session layer calls strictly
 /// before acknowledging — so an ack never covers bytes that would be lost
-/// with the process.
+/// with the process. consume() advances a head offset and compacts only
+/// once the consumed prefix outweighs the live inbox, so walking n frames
+/// out of one inbox is linear, not quadratic.
 class BackedReader {
  public:
   std::uint64_t read_seq() const { return read_seq_; }
-  const std::string& inbox() const { return inbox_; }
+  /// The un-consumed bytes, valid until the next offer/consume/clear.
+  std::string_view inbox() const {
+    return std::string_view(inbox_).substr(head_);
+  }
 
   /// Integrate a DATA chunk starting at `offset`. Returns the number of
   /// novel bytes appended (0 for pure replay overlap).
@@ -71,16 +76,20 @@ class BackedReader {
   void consume(std::size_t n);
 
   /// Drop un-consumed inbox bytes (reconnect: the peer replays them).
-  void clear_inbox() { inbox_.clear(); }
+  void clear_inbox() {
+    inbox_.clear();
+    head_ = 0;
+  }
 
   void restore(std::uint64_t read_seq) {
     read_seq_ = read_seq;
-    inbox_.clear();
+    clear_inbox();
   }
 
  private:
   std::uint64_t read_seq_ = 0;
   std::string inbox_;
+  std::size_t head_ = 0;  ///< bytes of inbox_ already consumed
 };
 
 }  // namespace hadas::net

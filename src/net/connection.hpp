@@ -73,6 +73,10 @@ class Transport {
 
   std::size_t outbox_size() const { return outbox_.size(); }
 
+  /// Inbound bytes next() has not consumed yet — kept after the socket
+  /// died, until the next attach() or drop().
+  std::size_t inbound_pending() const { return decoder_.pending(); }
+
  private:
   /// The socket died: detach it and discard un-sent output (the peer
   /// re-requests what it needs at the next handshake), but keep the
@@ -87,6 +91,6 @@ class Transport {
 };
 
 /// Build the payload of a kData frame: u64 absolute offset + chunk bytes.
-std::string encode_data_payload(std::uint64_t offset, const std::string& chunk);
+std::string encode_data_payload(std::uint64_t offset, std::string_view chunk);
 
 }  // namespace hadas::net

@@ -129,6 +129,11 @@ void FakeNetwork::close_listener(int listener) {
   bump_version();
 }
 
+bool FakeNetwork::listening(const util::HostPort& addr) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return listeners_.count(addr_key(addr)) != 0;
+}
+
 std::unique_ptr<Socket> FakeNetwork::connect(const util::HostPort& addr) {
   std::shared_ptr<Pipe> pipe;
   {

@@ -28,6 +28,10 @@ class FakeNetwork {
   /// Total connections ever established (accept side may still be pending).
   std::size_t connections() const;
 
+  /// Whether a listener is bound at `addr` (lets a test hold its dialers
+  /// until the server side is up).
+  bool listening(const util::HostPort& addr) const;
+
   // SocketHandler-shaped surface; FakeSocketHandler delegates here.
   int listen(const util::HostPort& addr);
   std::unique_ptr<Socket> accept(int listener);

@@ -40,7 +40,7 @@ void put_u64(std::string& out, std::uint64_t v) {
     out.push_back(static_cast<char>((v >> b) & 0xFF));
 }
 
-std::uint32_t get_u32(const std::string& in, std::size_t offset) {
+std::uint32_t get_u32(std::string_view in, std::size_t offset) {
   if (offset + 4 > in.size())
     throw FrameError("get_u32: payload shorter than declared");
   std::uint32_t v = 0;
@@ -50,7 +50,7 @@ std::uint32_t get_u32(const std::string& in, std::size_t offset) {
   return v;
 }
 
-std::uint64_t get_u64(const std::string& in, std::size_t offset) {
+std::uint64_t get_u64(std::string_view in, std::size_t offset) {
   if (offset + 8 > in.size())
     throw FrameError("get_u64: payload shorter than declared");
   std::uint64_t v = 0;
@@ -60,7 +60,7 @@ std::uint64_t get_u64(const std::string& in, std::size_t offset) {
   return v;
 }
 
-std::string encode_frame(FrameType type, const std::string& payload) {
+std::string encode_frame(FrameType type, std::string_view payload) {
   if (payload.size() > kMaxFramePayload)
     throw std::invalid_argument(
         "encode_frame: payload of " + std::to_string(payload.size()) +
@@ -74,12 +74,12 @@ std::string encode_frame(FrameType type, const std::string& payload) {
   out += payload;
   // CRC covers type + length + payload (everything after the magic).
   const std::uint64_t crc =
-      util::durable::crc64(out.substr(sizeof(kMagic)));
+      util::durable::crc64(std::string_view(out).substr(sizeof(kMagic)));
   put_u64(out, crc);
   return out;
 }
 
-std::optional<PeekedFrame> peek_frame(const std::string& buffer) {
+std::optional<PeekedFrame> peek_frame(std::string_view buffer) {
   if (buffer.size() < kHeaderBytes) return std::nullopt;
   if (buffer.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0)
     throw FrameError("frame stream corrupt: bad magic");
@@ -91,22 +91,29 @@ std::optional<PeekedFrame> peek_frame(const std::string& buffer) {
   const std::size_t total = kHeaderBytes + length + kFooterBytes;
   if (buffer.size() < total) return std::nullopt;
   const std::uint64_t declared = get_u64(buffer, kHeaderBytes + length);
-  const std::uint64_t actual = util::durable::crc64(
-      buffer.substr(sizeof(kMagic), 1 + 4 + length));
+  const std::uint64_t actual =
+      util::durable::crc64(buffer.substr(sizeof(kMagic), 1 + 4 + length));
   if (declared != actual)
     throw FrameError("frame stream corrupt: CRC mismatch");
   PeekedFrame peeked;
   peeked.frame.type = static_cast<FrameType>(
       static_cast<unsigned char>(buffer[sizeof(kMagic)]));
-  peeked.frame.payload = buffer.substr(kHeaderBytes, length);
+  peeked.frame.payload = std::string(buffer.substr(kHeaderBytes, length));
   peeked.encoded_size = total;
   return peeked;
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  std::optional<PeekedFrame> peeked = peek_frame(buffer_);
+  std::optional<PeekedFrame> peeked =
+      peek_frame(std::string_view(buffer_).substr(head_));
   if (!peeked) return std::nullopt;
-  buffer_.erase(0, peeked->encoded_size);
+  head_ += peeked->encoded_size;
+  if (head_ == buffer_.size()) {
+    reset();
+  } else if (head_ > buffer_.size() - head_) {
+    buffer_.erase(0, head_);
+    head_ = 0;
+  }
   return std::move(peeked->frame);
 }
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hadas::net {
 
@@ -59,8 +60,8 @@ inline constexpr std::size_t kFrameOverhead = 4 + 1 + 4 + 8;
 /// payloads (offsets, counts, double bit patterns).
 void put_u32(std::string& out, std::uint32_t v);
 void put_u64(std::string& out, std::uint64_t v);
-std::uint32_t get_u32(const std::string& in, std::size_t offset);
-std::uint64_t get_u64(const std::string& in, std::size_t offset);
+std::uint32_t get_u32(std::string_view in, std::size_t offset);
+std::uint64_t get_u64(std::string_view in, std::size_t offset);
 
 /// Length-prefixed, CRC-checked frame:
 ///
@@ -68,7 +69,7 @@ std::uint64_t get_u64(const std::string& in, std::size_t offset);
 ///   CRC-64/XZ of (type..payload) u64 LE (8)
 ///
 /// Throws std::invalid_argument when payload exceeds kMaxFramePayload.
-std::string encode_frame(FrameType type, const std::string& payload);
+std::string encode_frame(FrameType type, std::string_view payload);
 
 /// Parse the frame at the start of `buffer` without consuming it. Returns
 /// the frame plus its encoded size (so the caller can consume exactly that
@@ -79,27 +80,33 @@ struct PeekedFrame {
   Frame frame;
   std::size_t encoded_size = 0;
 };
-std::optional<PeekedFrame> peek_frame(const std::string& buffer);
+std::optional<PeekedFrame> peek_frame(std::string_view buffer);
 
 /// Incremental frame parser over an arbitrary chunking of the byte stream.
 /// feed() appends bytes; next() pops the next complete, CRC-valid frame or
 /// returns nullopt while the tail is still incomplete. Corruption (bad
-/// magic, oversized length, checksum mismatch) throws FrameError.
+/// magic, oversized length, checksum mismatch) throws FrameError. Popping
+/// advances a head offset; consumed bytes are compacted away only once they
+/// outweigh the live tail, so a frame costs O(its size), not O(buffer).
 class FrameDecoder {
  public:
   void feed(const char* data, std::size_t n) { buffer_.append(data, n); }
-  void feed(const std::string& bytes) { buffer_ += bytes; }
+  void feed(std::string_view bytes) { buffer_ += bytes; }
 
   std::optional<Frame> next();
 
   /// Bytes buffered but not yet forming a complete frame.
-  std::size_t pending() const { return buffer_.size(); }
+  std::size_t pending() const { return buffer_.size() - head_; }
 
   /// Drop any partial frame (a reconnect replays its bytes from scratch).
-  void reset() { buffer_.clear(); }
+  void reset() {
+    buffer_.clear();
+    head_ = 0;
+  }
 
  private:
   std::string buffer_;
+  std::size_t head_ = 0;  ///< bytes of buffer_ already popped
 };
 
 }  // namespace hadas::net

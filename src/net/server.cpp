@@ -26,20 +26,6 @@ std::uint64_t double_to_bits(double v) {
   return bits;
 }
 
-util::Json requests_to_json(
-    const std::vector<runtime::serve::RemoteRequest>& requests) {
-  util::Json::Array rows;
-  rows.reserve(requests.size());
-  for (const runtime::serve::RemoteRequest& r : requests) {
-    util::Json::Array row;
-    row.emplace_back(std::to_string(r.id));
-    row.emplace_back(std::to_string(double_to_bits(r.arrival_s)));
-    row.emplace_back(std::to_string(r.sample_pos));
-    rows.emplace_back(std::move(row));
-  }
-  return util::Json(std::move(rows));
-}
-
 std::vector<runtime::serve::RemoteRequest> requests_from_json(
     const util::Json& json) {
   std::vector<runtime::serve::RemoteRequest> requests;
@@ -69,6 +55,25 @@ const BackedWriter& empty_writer() {
 
 }  // namespace
 
+void write_serve_app(util::JsonWriter& writer,
+                     const std::vector<runtime::serve::RemoteRequest>& requests,
+                     bool finished) {
+  writer.begin_object();
+  writer.key("finished");
+  writer.boolean(finished);
+  writer.key("requests");
+  writer.begin_array();
+  for (const runtime::serve::RemoteRequest& r : requests) {
+    writer.begin_array();
+    write_u64_string(writer, r.id);
+    write_u64_string(writer, double_to_bits(r.arrival_s));
+    write_u64_string(writer, r.sample_pos);
+    writer.end_array();
+  }
+  writer.end_array();
+  writer.end_object();
+}
+
 ServeDaemon::ServeDaemon(SocketHandler& handler,
                          const runtime::serve::ServeService& service,
                          DaemonConfig config)
@@ -95,11 +100,12 @@ void ServeDaemon::save_session(const std::string& id, const Session& session) {
   state.write_acked = session.writer.acked();
   state.write_unacked = session.writer.unacked();
   state.read_seq = session.reader.read_seq();
-  util::Json::Object app;
-  app["requests"] = requests_to_json(session.requests);
-  app["finished"] = util::Json(session.finished);
-  state.app = util::Json(std::move(app));
-  save_session_state(session_path(id), state);
+  save_session_state(
+      session_path(id), state,
+      [&](util::JsonWriter& writer) {
+        write_serve_app(writer, session.requests, session.finished);
+      },
+      journal_scratch_);
 }
 
 ServeDaemon::Session* ServeDaemon::find_session(const std::string& id) {

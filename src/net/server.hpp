@@ -23,6 +23,14 @@ struct DaemonConfig {
   std::size_t once = 0;
 };
 
+/// A serve session's journal "app" value, {"finished": f, "requests":
+/// [[id, arrival bits, sample pos], ...]} with every u64 a decimal string,
+/// streamed straight into the journal: the daemon rewrites it on every ack,
+/// so a 50k-request session never becomes a Json tree.
+void write_serve_app(util::JsonWriter& writer,
+                     const std::vector<runtime::serve::RemoteRequest>& requests,
+                     bool finished);
+
 /// The hadasd serving daemon: accepts any number of concurrent client
 /// connections on one SocketHandler, speaks the resumable session protocol
 /// (HELLO/WELCOME handshake, offset-tagged DATA, durable-ack), and bridges
@@ -105,6 +113,7 @@ class ServeDaemon {
   std::vector<std::unique_ptr<Conn>> connections_;
   std::map<std::string, Session> sessions_;
   std::size_t completed_ = 0;
+  std::string journal_scratch_;  ///< save_session's reused payload buffer
 };
 
 }  // namespace hadas::net

@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -42,7 +44,8 @@ void count_durable(std::uint64_t DurableStats::* counter, std::uint64_t n) {
 namespace {
 
 constexpr const char* kMagic = "%HADAS-DURABLE";
-constexpr const char* kFooterMagic = "%HADAS-CRC64";
+/// The line after the payload: this prefix, 16 hex CRC digits, "\n".
+constexpr std::string_view kFooterPrefix = "\n%HADAS-CRC64 ";
 constexpr std::uint32_t kVersion = 1;
 
 std::string hex16(std::uint64_t value) {
@@ -52,20 +55,36 @@ std::string hex16(std::uint64_t value) {
   return std::string(buf);
 }
 
-/// CRC-64/XZ table, built lazily (reflected ECMA-182 polynomial).
-const std::uint64_t* crc64_table() {
-  static const auto table = [] {
-    static std::uint64_t t[256];
+/// CRC-64/XZ slicing-by-8 tables (reflected ECMA-182 polynomial), built
+/// once. Row 0 is the classic bytewise table; row k advances a byte k more
+/// zero bytes, so eight bytes fold into the CRC with eight lookups.
+using Crc64Tables = std::array<std::array<std::uint64_t, 256>, 8>;
+
+const Crc64Tables& crc64_tables() {
+  static const Crc64Tables tables = [] {
+    Crc64Tables t{};
     const std::uint64_t poly = 0xC96C5795D7870F42ULL;  // reflected ECMA-182
     for (std::uint64_t i = 0; i < 256; ++i) {
       std::uint64_t crc = i;
       for (int bit = 0; bit < 8; ++bit)
         crc = (crc >> 1) ^ ((crc & 1) ? poly : 0);
-      t[i] = crc;
+      t[0][i] = crc;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
     return t;
   }();
-  return table;
+  return tables;
+}
+
+/// Eight bytes as a little-endian integer on any host byte order.
+std::uint64_t load_le64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  return v;
 }
 
 void write_all(int fd, const std::string& path, const char* data,
@@ -103,6 +122,16 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, slash);
 }
 
+constexpr std::size_t kFooterBytes = kFooterPrefix.size() + 16 + 1;
+
+/// Whether a file of `file_bytes` holds the payload the header declares
+/// plus the footer. Phrased so a corrupt, huge `declared` cannot overflow.
+bool envelope_fits(std::size_t file_bytes, std::size_t payload_begin,
+                   std::size_t declared) {
+  const std::size_t rest = file_bytes - payload_begin;
+  return declared <= rest && rest - declared >= kFooterBytes;
+}
+
 }  // namespace
 
 const char* corrupt_stage_name(CorruptStage stage) {
@@ -129,11 +158,19 @@ CheckpointCorruptError::CheckpointCorruptError(std::string file,
       stage_(stage),
       detail_(detail) {}
 
-std::uint64_t crc64(const std::string& bytes) {
-  const std::uint64_t* table = crc64_table();
+std::uint64_t crc64(std::string_view bytes) {
+  const Crc64Tables& t = crc64_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
   std::uint64_t crc = ~0ULL;
-  for (unsigned char c : bytes)
-    crc = (crc >> 8) ^ table[(crc ^ c) & 0xFF];
+  for (; n >= 8; p += 8, n -= 8) {
+    crc ^= load_le64(p);
+    crc = t[7][crc & 0xFF] ^ t[6][(crc >> 8) & 0xFF] ^
+          t[5][(crc >> 16) & 0xFF] ^ t[4][(crc >> 24) & 0xFF] ^
+          t[3][(crc >> 32) & 0xFF] ^ t[2][(crc >> 40) & 0xFF] ^
+          t[1][(crc >> 48) & 0xFF] ^ t[0][crc >> 56];
+  }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
   return ~crc;
 }
 
@@ -143,12 +180,16 @@ void DurableFile::write(const std::string& path, const std::string& format_tag,
       format_tag.find_first_of(" \n\t") != std::string::npos)
     throw std::invalid_argument("DurableFile: bad format tag '" + format_tag +
                                 "'");
-  std::ostringstream envelope;
-  envelope << kMagic << " v" << kVersion << ' ' << format_tag << ' '
-           << payload.size() << '\n'
-           << payload << '\n'
-           << kFooterMagic << ' ' << hex16(crc64(payload)) << '\n';
-  const std::string bytes = envelope.str();
+  const std::string header = std::string(kMagic) + " v" +
+                             std::to_string(kVersion) + ' ' + format_tag +
+                             ' ' + std::to_string(payload.size()) + '\n';
+  const std::string footer =
+      std::string(kFooterPrefix) + hex16(crc64(payload)) + '\n';
+  std::string bytes;
+  bytes.reserve(header.size() + payload.size() + footer.size());
+  bytes += header;
+  bytes += payload;
+  bytes += footer;
 
   failpoint("durable.save.begin");
   const std::string tmp = path + ".tmp";
@@ -236,31 +277,31 @@ std::string DurableFile::read_validated(const std::string& path,
         "format tag '" + tag + "' (expected '" + format_tag + "')");
 
   const std::size_t payload_begin = header_end + 1;
-  // payload + "\n%HADAS-CRC64 " + 16 hex + "\n"
-  const std::size_t footer_len = 1 + std::strlen(kFooterMagic) + 1 + 16 + 1;
-  if (bytes.size() < payload_begin + declared + footer_len)
+  if (!envelope_fits(bytes.size(), payload_begin, declared))
     throw CheckpointCorruptError(
         path, bytes.size(), CorruptStage::kTruncation,
         "file holds " + std::to_string(bytes.size()) + " bytes but header " +
             "declares a " + std::to_string(declared) + "-byte payload " +
             "(expected >= " +
-            std::to_string(payload_begin + declared + footer_len) + ")");
-  const std::string payload = bytes.substr(payload_begin, declared);
+            std::to_string(payload_begin + declared + kFooterBytes) + ")");
+  const std::string_view payload =
+      std::string_view(bytes).substr(payload_begin, declared);
 
-  const std::string footer = bytes.substr(payload_begin + declared);
-  const std::string expected_prefix = "\n" + std::string(kFooterMagic) + " ";
-  if (footer.rfind(expected_prefix, 0) != 0)
+  const std::string_view footer =
+      std::string_view(bytes).substr(payload_begin + declared);
+  if (!footer.starts_with(kFooterPrefix))
     throw CheckpointCorruptError(path, payload_begin + declared,
                                  CorruptStage::kTruncation,
                                  "footer line missing or malformed");
-  const std::string declared_crc =
-      footer.substr(expected_prefix.size(), 16);
+  const std::string_view declared_crc =
+      footer.substr(kFooterPrefix.size(), 16);
   const std::string actual_crc = hex16(crc64(payload));
   if (declared_crc != actual_crc)
     throw CheckpointCorruptError(
         path, payload_begin, CorruptStage::kChecksum,
-        "payload CRC64 " + actual_crc + " != declared " + declared_crc);
-  return payload;
+        "payload CRC64 " + actual_crc + " != declared " +
+            std::string(declared_crc));
+  return std::string(payload);
 }
 
 FileInfo DurableFile::inspect(const std::string& path) {
@@ -291,15 +332,13 @@ FileInfo DurableFile::inspect(const std::string& path) {
   info.header_ok = version == kVersion;
 
   const std::size_t payload_begin = header_end + 1;
-  const std::size_t footer_len = 1 + std::strlen(kFooterMagic) + 1 + 16 + 1;
-  info.length_ok = bytes.size() >= payload_begin + declared + footer_len;
+  info.length_ok = envelope_fits(bytes.size(), payload_begin, declared);
   if (!info.length_ok) return info;
-  const std::string payload = bytes.substr(payload_begin, declared);
-  info.crc_actual = hex16(crc64(payload));
-  const std::string footer = bytes.substr(payload_begin + declared);
-  const std::string expected_prefix = "\n" + std::string(kFooterMagic) + " ";
-  if (footer.rfind(expected_prefix, 0) == 0)
-    info.crc_declared = footer.substr(expected_prefix.size(), 16);
+  const std::string_view view(bytes);
+  info.crc_actual = hex16(crc64(view.substr(payload_begin, declared)));
+  const std::string_view footer = view.substr(payload_begin + declared);
+  if (footer.starts_with(kFooterPrefix))
+    info.crc_declared = footer.substr(kFooterPrefix.size(), 16);
   info.checksum_ok = !info.crc_declared.empty() &&
                      info.crc_declared == info.crc_actual;
   return info;

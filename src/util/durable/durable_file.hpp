@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hadas::util::durable {
 
@@ -58,8 +59,9 @@ struct FileInfo {
   bool valid() const { return header_ok && length_ok && checksum_ok; }
 };
 
-/// CRC-64/XZ (ECMA-182 polynomial, reflected) of a byte string.
-std::uint64_t crc64(const std::string& bytes);
+/// CRC-64/XZ (ECMA-182 polynomial, reflected) of a byte string, eight
+/// bytes per step (slicing-by-8).
+std::uint64_t crc64(std::string_view bytes);
 
 /// Process-wide counters of the durable layer's disk traffic and recovery
 /// activity. Kept here as plain atomics (the EvalCache-stats pattern) so the

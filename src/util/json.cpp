@@ -106,96 +106,124 @@ bool Json::operator==(const Json& other) const {
 // ---------- serialization ----------
 
 namespace {
-void dump_string(std::string& out, const std::string& s) {
+/// Append `text` as a quoted JSON string literal, copying each run of bytes
+/// that need no escape in one append.
+void append_json_string(std::string& out, std::string_view text) {
   out += '"';
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
   out += '"';
-}
-
-void dump_number(std::string& out, double v) {
-  if (!std::isfinite(v)) throw std::logic_error("Json: non-finite number");
-  if (std::floor(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
-}
-
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 }  // namespace
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
+void JsonWriter::newline_indent() {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_ * depth_), ' ');
+}
+
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) return;
+  if (!first_) out_ += ',';
+  first_ = false;
+  newline_indent();
+}
+
+void JsonWriter::open(char bracket) {
+  separate();
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+}
+
+void JsonWriter::close(char bracket) {
+  --depth_;
+  if (!first_) newline_indent();  // an empty container stays "[]" / "{}"
+  out_ += bracket;
+  first_ = false;
+}
+
+void JsonWriter::key(std::string_view name) {
+  separate();
+  append_json_string(out_, name);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+}
+
+void JsonWriter::string(std::string_view text) {
+  separate();
+  append_json_string(out_, text);
+}
+
+void JsonWriter::number(double value) {
+  if (!std::isfinite(value)) throw std::logic_error("Json: non-finite number");
+  separate();
+  char buf[32];
+  if (std::floor(value) == value && std::fabs(value) < 1e15)
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+  else
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out_ += buf;
+}
+
+void JsonWriter::boolean(bool value) {
+  separate();
+  out_ += value ? "true" : "false";
+}
+
+void JsonWriter::null() {
+  separate();
+  out_ += "null";
+}
+
+void Json::dump_to(JsonWriter& writer) const {
   switch (type_) {
-    case Type::kNull: out += "null"; return;
-    case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: dump_number(out, number_); return;
-    case Type::kString: dump_string(out, string_); return;
-    case Type::kArray: {
-      if (array_.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      bool first = true;
-      for (const Json& element : array_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        element.dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out += ']';
+    case Type::kNull: writer.null(); return;
+    case Type::kBool: writer.boolean(bool_); return;
+    case Type::kNumber: writer.number(number_); return;
+    case Type::kString: writer.string(string_); return;
+    case Type::kArray:
+      writer.begin_array();
+      for (const Json& element : array_) element.dump_to(writer);
+      writer.end_array();
       return;
-    }
-    case Type::kObject: {
-      if (object_.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      bool first = true;
+    case Type::kObject:
+      writer.begin_object();
       for (const auto& [key, value] : object_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        dump_string(out, key);
-        out += indent < 0 ? ":" : ": ";
-        value.dump_to(out, indent, depth + 1);
+        writer.key(key);
+        value.dump_to(writer);
       }
-      newline_indent(out, indent, depth);
-      out += '}';
+      writer.end_object();
       return;
-    }
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  JsonWriter writer(out, indent);
+  writer.value(*this);
   return out;
 }
 

@@ -4,9 +4,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hadas::util {
+
+class JsonWriter;
 
 /// Minimal JSON value: null, bool, number (double), string, array, object.
 /// Supports parsing (strict, with position-annotated errors) and compact or
@@ -64,7 +67,7 @@ class Json {
   std::size_t size() const;  ///< array/object element count; 0 otherwise
 
   /// Serialize. indent < 0 -> compact single line; otherwise pretty-print
-  /// with the given indent width.
+  /// with the given indent width. Writes through JsonWriter.
   std::string dump(int indent = -1) const;
 
   /// Deepest container nesting parse() accepts. Deeper input (adversarial
@@ -80,7 +83,8 @@ class Json {
   bool operator==(const Json& other) const;
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
+  friend class JsonWriter;
+  void dump_to(JsonWriter& writer) const;
 
   Type type_;
   bool bool_ = false;
@@ -88,6 +92,48 @@ class Json {
   std::string string_;
   Array array_;
   Object object_;
+};
+
+/// Streaming serializer: appends a document to `out` value by value, in
+/// exactly the layout Json::dump() produces — dump() is written through it —
+/// without building a Json tree. Members are written in the order given, so
+/// a caller that must match dump() byte for byte emits keys in sorted order,
+/// as Json::Object holds them. The caller keeps the calls well formed (one
+/// value after each key, containers closed in order).
+class JsonWriter {
+ public:
+  /// indent < 0 -> compact single line; otherwise pretty-print with the
+  /// given indent width.
+  JsonWriter(std::string& out, int indent) : out_(out), indent_(indent) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+
+  /// Object member name; the next value written is the member's value.
+  void key(std::string_view name);
+
+  void string(std::string_view text);
+  void number(double value);
+  void boolean(bool value);
+  void null();
+  /// A whole Json subtree at the current position.
+  void value(const Json& json) { json.dump_to(*this); }
+
+ private:
+  /// Comma and line break before an element; nothing after a key or at the
+  /// top level.
+  void separate();
+  void open(char bracket);
+  void close(char bracket);
+  void newline_indent();
+
+  std::string& out_;
+  int indent_;
+  int depth_ = 0;
+  bool first_ = true;  ///< the innermost open container has no element yet
+  bool after_key_ = false;
 };
 
 }  // namespace hadas::util

@@ -392,12 +392,32 @@ TEST(DistNet, ThreadedRunOverFakeNetwork) {
   std::vector<int> exit_codes(spec.islands, -1);
   for (std::size_t island = 0; island < spec.islands; ++island)
     threads.emplace_back([&, island] {
-      NetWorkerConfig config;
-      config.connect = *options.listen;
-      config.island = island;
-      config.state_dir = dir + "/worker" + std::to_string(island);
-      config.reconnect_backoff_ms = 1;
-      exit_codes[island] = hadas::dist::run_net_worker(&handler, config);
+      // A throw escaping a std::thread would abort the whole binary; fail
+      // this test instead.
+      try {
+        // Dial only once run() is listening: it binds after writing the
+        // spec, and workers dialing before that could use up
+        // max_connect_attempts on a loaded host.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::minutes(2);
+        while (!network->listening(*options.listen)) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            ADD_FAILURE() << "island " << island
+                          << ": the coordinator never started listening";
+            return;
+          }
+          network->wait(10);
+        }
+        NetWorkerConfig config;
+        config.connect = *options.listen;
+        config.island = island;
+        config.state_dir = dir + "/worker" + std::to_string(island);
+        config.reconnect_backoff_ms = 1;
+        exit_codes[island] = hadas::dist::run_net_worker(&handler, config);
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "island " << island << " worker threw: "
+                      << error.what();
+      }
     });
   DistCoordinator coordinator(spec, dir + "/coord", options);
   const DistReport report = coordinator.run();

@@ -53,7 +53,7 @@ TEST(DurableFile, RoundTripsArbitraryPayloads) {
   for (const std::string payload :
        {std::string(""), std::string("{\"x\": 1}\n"),
         std::string("line1\nline2\n\n%HADAS-DURABLE v1 sneaky 3\n"),
-        std::string("\x00\x01\xff\x7f binary", 16)}) {
+        std::string("\x00\x01\xff\x7f binary", 11)}) {
     DurableFile::write(path, kTag, payload);
     EXPECT_EQ(DurableFile::read(path, kTag), payload);
     const auto info = DurableFile::inspect(path);

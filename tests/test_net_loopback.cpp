@@ -371,12 +371,21 @@ TEST(NetLoopback, OversizedBatchIsRejectedAtConstruction) {
 
 TEST(NetLoopback, NetMetricsAreRegisteredGlobally) {
   Loopback loop("metrics");
+  const net::NetMetrics& metrics = net::net_metrics();
+  // The journal-save timer observes only while obs is enabled.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t saves_before = metrics.journal_saves.value();
+  const std::uint64_t timed_before = metrics.journal_save_seconds.count();
   ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
   daemon.start();
   ServeClient client(loop.handler, loop.client_config("metered"));
-  ASSERT_TRUE(drive(daemon, client));
+  const bool finished = drive(daemon, client);
+  obs::set_enabled(was_enabled);
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(metrics.journal_save_seconds.count() - timed_before,
+            metrics.journal_saves.value() - saves_before);
 
-  const net::NetMetrics& metrics = net::net_metrics();
   EXPECT_GE(metrics.connections_accepted.value(), 1u);
   EXPECT_GE(metrics.sessions_created.value(), 1u);
   EXPECT_GE(metrics.sessions_completed.value(), 1u);
@@ -401,8 +410,8 @@ TEST(NetLoopback, NetMetricsAreRegisteredGlobally) {
         "net.reports_sent_total"}) {
     EXPECT_EQ(counters.count(name), 1u) << name;
   }
-  EXPECT_EQ(snapshot.at("histograms").as_object().count("net.replay_bytes"),
-            1u);
+  for (const char* name : {"net.replay_bytes", "net.journal_save_seconds"})
+    EXPECT_EQ(snapshot.at("histograms").as_object().count(name), 1u) << name;
   const std::string prom = obs::MetricsRegistry::global().to_prometheus();
   EXPECT_NE(prom.find("net_connections_accepted_total"), std::string::npos);
 }

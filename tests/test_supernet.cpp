@@ -155,6 +155,10 @@ struct KnobCase {
   BackboneConfig (*bump)(BackboneConfig);
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, i.e. two
+// pointers, so the listed test name would change with every load address.
+void PrintTo(const KnobCase& c, std::ostream* os) { *os << c.name; }
+
 BackboneConfig bump_res(BackboneConfig c) { c.resolution = 224; return c; }
 BackboneConfig bump_width(BackboneConfig c) { c.stages[4].width = 128; return c; }
 BackboneConfig bump_depth(BackboneConfig c) { c.stages[4].depth += 1; return c; }
