@@ -1,13 +1,9 @@
 #include "core/nsga2.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
-
-#include "core/eval_batch.hpp"
-#include "exec/arena.hpp"
 
 namespace hadas::core {
 
@@ -69,29 +65,16 @@ struct GenomeHash {
   }
 };
 
-/// Per-front crowding scattered to per-individual arrays (rank comes from
-/// the incremental FrontLevels structure).
-void scatter_rank_crowding(const ObjectiveBatch& points, const FrontLevels& levels,
-                           std::size_t* rank, double* crowding) {
-  for (const auto& front : levels.fronts()) {
-    const auto dist = crowding_distance(points, front);
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      rank[front[i]] = levels.rank_of(front[i]);
-      crowding[front[i]] = dist[i];
-    }
-  }
-}
-
-/// Elitist (mu + lambda) truncation over the maintained front levels:
-/// whole fronts while they fit, crowding-truncated cut front, all listed
+/// Elitist (mu + lambda) truncation over the fronts of `points`: whole
+/// fronts while they fit, crowding-truncated cut front, all listed
 /// front-major in ascending index order (the canonical order that keeps
 /// FrontLevels::select exact).
-std::vector<std::size_t> elitist_keep(const ObjectiveBatch& points,
-                                      const FrontLevels& levels,
-                                      std::size_t target) {
+std::vector<std::size_t> elitist_keep(
+    const std::vector<Objectives>& points,
+    const std::vector<std::vector<std::size_t>>& fronts, std::size_t target) {
   std::vector<std::size_t> keep;
   keep.reserve(target);
-  for (const auto& front : levels.fronts()) {
+  for (const auto& front : fronts) {
     if (keep.size() + front.size() <= target) {
       keep.insert(keep.end(), front.begin(), front.end());
       if (keep.size() == target) break;
@@ -112,13 +95,13 @@ std::vector<std::size_t> elitist_keep(const ObjectiveBatch& points,
   return keep;
 }
 
-std::vector<Individual> materialize(const EvalBatch& batch) {
-  std::vector<Individual> out(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].genome = batch.genomes.to_genome(i);
-    out[i].objectives = batch.objectives.to_objectives(i);
-  }
-  return out;
+/// Keep exactly the listed elements (distinct indices), in list order.
+template <typename T>
+void compact(std::vector<T>& values, const std::vector<std::size_t>& keep) {
+  std::vector<T> kept;
+  kept.reserve(keep.size());
+  for (std::size_t idx : keep) kept.push_back(std::move(values[idx]));
+  values = std::move(kept);
 }
 
 }  // namespace
@@ -126,12 +109,10 @@ std::vector<Individual> materialize(const EvalBatch& batch) {
 std::vector<Individual> select_by_rank_crowding(std::vector<Individual> candidates,
                                                 std::size_t target) {
   if (candidates.size() <= target) return candidates;
-  ObjectiveBatch points(candidates.front().objectives.size());
+  std::vector<Objectives> points;
   points.reserve(candidates.size());
   for (const auto& c : candidates) points.push_back(c.objectives);
-  FrontLevels levels;
-  levels.rebuild(points);
-  const auto keep = elitist_keep(points, levels, target);
+  const auto keep = elitist_keep(points, non_dominated_sort(points), target);
   std::vector<Individual> selected;
   selected.reserve(target);
   for (std::size_t idx : keep) selected.push_back(std::move(candidates[idx]));
@@ -161,13 +142,17 @@ Nsga2Result Nsga2::run(Problem& problem) {
     return obj;
   };
 
-  // SoA population: genome i at batch.genomes.row(i), objectives at
-  // batch.objectives.row(i). The front structure is maintained
-  // incrementally across generations instead of re-sorted from scratch.
-  EvalBatch batch;
-  batch.genomes = GenomeBatch(cardinalities.size());
+  // Population i is (genomes[i], objectives[i]). The front structure is
+  // maintained incrementally across generations instead of re-sorted from
+  // scratch.
+  std::vector<IntGenome> genomes;
+  std::vector<Objectives> objectives;
   FrontLevels levels;
-  exec::MonotonicArena arena;
+  auto materialize = [&] {
+    std::vector<Individual> out(genomes.size());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = {genomes[i], objectives[i]};
+    return out;
+  };
 
   // Initial population: warm seeds first (repaired), then random fill. An
   // empty seed list reproduces the historical fully random cold start.
@@ -181,21 +166,19 @@ Nsga2Result Nsga2::run(Problem& problem) {
     } else {
       genome = problem.random_genome(rng);
     }
-    const Objectives obj = evaluate(genome);
-    batch.genomes.push_back(genome);
-    batch.objectives.push_back(obj);
+    objectives.push_back(evaluate(genome));
+    genomes.push_back(std::move(genome));
   }
-  levels.rebuild(batch.objectives);
+  levels.rebuild(objectives);
 
   auto record_stats = [&](std::size_t gen) {
     GenerationStats stats;
     stats.generation = gen;
-    const std::size_t dims = batch.objectives.dims();
-    const std::size_t n = batch.size();
+    const std::size_t dims = objectives.front().size();
+    const std::size_t n = objectives.size();
     stats.best.assign(dims, -std::numeric_limits<double>::infinity());
     stats.mean.assign(dims, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = batch.objectives.row(i);
+    for (const Objectives& row : objectives) {
       for (std::size_t k = 0; k < dims; ++k) {
         stats.best[k] = std::max(stats.best[k], row[k]);
         stats.mean[k] += row[k] / static_cast<double>(n);
@@ -206,24 +189,33 @@ Nsga2Result Nsga2::run(Problem& problem) {
     if (config_.hv_reference.size() == dims) {
       std::vector<Objectives> front_points;
       front_points.reserve(front.size());
-      for (std::size_t idx : front)
-        front_points.push_back(batch.objectives.to_objectives(idx));
+      for (std::size_t idx : front) front_points.push_back(objectives[idx]);
       stats.hypervolume = hypervolume(front_points, config_.hv_reference);
     }
     result.generations.push_back(std::move(stats));
   };
 
+  // Parent (rank, crowding) snapshot for tournament selection, reused
+  // across generations.
+  std::vector<std::size_t> rank;
+  std::vector<double> crowding;
+
   for (std::size_t gen = 0; gen < config_.generations; ++gen) {
     record_stats(gen);
-    if (observer_) observer_(gen, materialize(batch));
+    if (observer_) observer_(gen, materialize());
 
-    // Snapshot parent (rank, crowding) for tournament selection; offspring
-    // insertions below must not shift the selection pressure mid-generation.
-    arena.reset();
-    const std::size_t mu = batch.size();
-    std::size_t* rank = arena.alloc_array<std::size_t>(mu);
-    double* crowding = arena.alloc_array<double>(mu);
-    scatter_rank_crowding(batch.objectives, levels, rank, crowding);
+    // Offspring insertions below must not shift the selection pressure
+    // mid-generation, so the tournament reads this snapshot.
+    const std::size_t mu = objectives.size();
+    rank.resize(mu);
+    crowding.resize(mu);
+    for (const auto& front : levels.fronts()) {
+      const auto dist = crowding_distance(objectives, front);
+      for (std::size_t i = 0; i < front.size(); ++i) {
+        rank[front[i]] = levels.rank_of(front[i]);
+        crowding[front[i]] = dist[i];
+      }
+    }
 
     auto tournament = [&]() -> std::size_t {
       const std::size_t a = rng.uniform_index(mu);
@@ -233,54 +225,44 @@ Nsga2Result Nsga2::run(Problem& problem) {
     };
 
     // Offspring generation (lambda = mu); each evaluated child is appended
-    // to the batch and ENLU-inserted into the maintained fronts.
+    // to the population and ENLU-inserted into the maintained fronts.
     std::size_t produced = 0;
     IntGenome c1, c2;
     while (produced < config_.population) {
       const std::size_t p1 = tournament();
       const std::size_t p2 = tournament();
       if (rng.bernoulli(config_.crossover_prob)) {
-        const IntGenome g1 = batch.genomes.to_genome(p1);
-        const IntGenome g2 = batch.genomes.to_genome(p2);
-        uniform_crossover(g1, g2, c1, c2, rng);
+        uniform_crossover(genomes[p1], genomes[p2], c1, c2, rng);
       } else {
-        c1 = batch.genomes.to_genome(p1);
-        c2 = batch.genomes.to_genome(p2);
+        c1 = genomes[p1];
+        c2 = genomes[p2];
       }
       for (IntGenome* child : {&c1, &c2}) {
         if (produced == config_.population) break;
         reset_mutation(*child, cardinalities, mut_prob, rng);
         problem.repair(*child, rng);
-        const Objectives obj = evaluate(*child);
-        const std::size_t idx = batch.genomes.push_back(*child);
-        batch.objectives.push_back(obj);
-        levels.insert(batch.objectives, idx);
+        objectives.push_back(evaluate(*child));
+        genomes.push_back(*child);
+        levels.insert(objectives, objectives.size() - 1);
         ++produced;
       }
     }
-#ifndef NDEBUG
-    assert(levels.matches_full_sort(batch.objectives) &&
-           "incremental non-dominated sort diverged from full sort");
-#endif
 
     // Elitist environmental selection over parents + offspring; the kept
-    // rows are front-prefix closed, so the surviving levels are exactly the
-    // fronts of the survivor subset — no re-sort next generation.
-    const auto keep = elitist_keep(batch.objectives, levels, config_.population);
-    batch.select(keep);
+    // points are front-prefix closed, so the surviving levels are exactly
+    // the fronts of the survivor subset — no re-sort next generation.
+    const auto keep = elitist_keep(objectives, levels.fronts(), config_.population);
+    compact(genomes, keep);
+    compact(objectives, keep);
     levels.select(keep);
-#ifndef NDEBUG
-    assert(levels.matches_full_sort(batch.objectives) &&
-           "front truncation diverged from full sort");
-#endif
   }
   record_stats(config_.generations);
-  if (observer_) observer_(config_.generations, materialize(batch));
+  if (observer_) observer_(config_.generations, materialize());
 
   // Final front: non-dominated subset of everything evaluated.
   for (std::size_t payload : archive.payloads())
     result.front.push_back(result.history[payload]);
-  result.final_population = materialize(batch);
+  result.final_population = materialize();
   return result;
 }
 

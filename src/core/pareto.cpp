@@ -5,44 +5,45 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/eval_batch.hpp"
-
 namespace hadas::core {
 
-bool dominates(const Objectives& a, const Objectives& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dominates: dim mismatch");
-  return dominates_span(a.data(), b.data(), a.size());
-}
+namespace {
 
-bool dominates_span(const double* a, const double* b, std::size_t dims) {
+/// `dominates` without the dimension check, for the sorting hot loops whose
+/// points share one dimensionality by construction.
+bool dominates_unchecked(const Objectives& a, const Objectives& b) {
   bool strictly_better = false;
-  for (std::size_t k = 0; k < dims; ++k) {
+  for (std::size_t k = 0; k < a.size(); ++k) {
     if (a[k] < b[k]) return false;
     if (a[k] > b[k]) strictly_better = true;
   }
   return strictly_better;
 }
 
-namespace {
+}  // namespace
 
-/// Shared Deb bookkeeping over any row accessor (AoS vector-of-vectors or
-/// SoA batch). Fronts come out in ascending index order — the canonical
-/// order FrontLevels maintains incrementally.
-template <typename RowFn>
-std::vector<std::vector<std::size_t>> deb_sort(std::size_t n, std::size_t dims,
-                                               RowFn row) {
+bool dominates(const Objectives& a, const Objectives& b) {
+  if (a.size() != b.size()) throw std::invalid_argument("dominates: dim mismatch");
+  return dominates_unchecked(a, b);
+}
+
+std::vector<std::vector<std::size_t>> non_dominated_sort(
+    const std::vector<Objectives>& points) {
+  const std::size_t n = points.size();
+  for (const auto& p : points)
+    if (p.size() != points.front().size())
+      throw std::invalid_argument("non_dominated_sort: dim mismatch");
   std::vector<std::vector<std::size_t>> dominated_by(n);  // i dominates these
   std::vector<std::size_t> domination_count(n, 0);
   std::vector<std::vector<std::size_t>> fronts;
 
   std::vector<std::size_t> current;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* pi = row(i);
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      if (dominates_span(pi, row(j), dims))
+      if (dominates_unchecked(points[i], points[j]))
         dominated_by[i].push_back(j);
-      else if (dominates_span(row(j), pi, dims))
+      else if (dominates_unchecked(points[j], points[i]))
         ++domination_count[i];
     }
     if (domination_count[i] == 0) current.push_back(i);
@@ -62,9 +63,8 @@ std::vector<std::vector<std::size_t>> deb_sort(std::size_t n, std::size_t dims,
   return fronts;
 }
 
-template <typename RowFn>
-std::vector<double> crowding_impl(std::size_t dims, RowFn row,
-                                  const std::vector<std::size_t>& front) {
+std::vector<double> crowding_distance(const std::vector<Objectives>& points,
+                                      const std::vector<std::size_t>& front) {
   const std::size_t m = front.size();
   std::vector<double> dist(m, 0.0);
   if (m == 0) return dist;
@@ -73,79 +73,46 @@ std::vector<double> crowding_impl(std::size_t dims, RowFn row,
     std::fill(dist.begin(), dist.end(), kInf);
     return dist;
   }
+  const std::size_t dims = points.front().size();
   std::vector<std::size_t> order(m);
   for (std::size_t i = 0; i < m; ++i) order[i] = i;
   for (std::size_t k = 0; k < dims; ++k) {
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return row(front[a])[k] < row(front[b])[k];
+      return points[front[a]][k] < points[front[b]][k];
     });
-    const double lo = row(front[order.front()])[k];
-    const double hi = row(front[order.back()])[k];
+    const double lo = points[front[order.front()]][k];
+    const double hi = points[front[order.back()]][k];
     dist[order.front()] = kInf;
     dist[order.back()] = kInf;
     if (hi <= lo) continue;
     for (std::size_t i = 1; i + 1 < m; ++i) {
       if (dist[order[i]] == kInf) continue;
       dist[order[i]] +=
-          (row(front[order[i + 1]])[k] - row(front[order[i - 1]])[k]) /
+          (points[front[order[i + 1]]][k] - points[front[order[i - 1]]][k]) /
           (hi - lo);
     }
   }
   return dist;
 }
 
-}  // namespace
-
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    const std::vector<Objectives>& points) {
-  const std::size_t dims = points.empty() ? 0 : points.front().size();
-  return deb_sort(points.size(), dims,
-                  [&](std::size_t i) { return points[i].data(); });
-}
-
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    const ObjectiveBatch& points) {
-  return deb_sort(points.size(), points.dims(),
-                  [&](std::size_t i) { return points.row(i); });
-}
-
-std::vector<double> crowding_distance(const std::vector<Objectives>& points,
-                                      const std::vector<std::size_t>& front) {
-  const std::size_t dims = points.empty() ? 0 : points.front().size();
-  return crowding_impl(dims, [&](std::size_t i) { return points[i].data(); },
-                       front);
-}
-
-std::vector<double> crowding_distance(const ObjectiveBatch& points,
-                                      const std::vector<std::size_t>& front) {
-  return crowding_impl(points.dims(), [&](std::size_t i) { return points.row(i); },
-                       front);
-}
-
-void FrontLevels::clear() {
-  fronts_.clear();
-  rank_.clear();
-}
-
-void FrontLevels::rebuild(const ObjectiveBatch& points) {
+void FrontLevels::rebuild(const std::vector<Objectives>& points) {
   fronts_ = non_dominated_sort(points);
   rank_.assign(points.size(), 0);
   for (std::size_t f = 0; f < fronts_.size(); ++f)
     for (std::size_t idx : fronts_[f]) rank_[idx] = f;
 }
 
-void FrontLevels::insert(const ObjectiveBatch& points, std::size_t idx) {
+void FrontLevels::insert(const std::vector<Objectives>& points, std::size_t idx) {
   if (idx != rank_.size())
     throw std::invalid_argument("FrontLevels::insert: non-contiguous index");
-  const std::size_t dims = points.dims();
-  const double* p = points.row(idx);
+  const Objectives& p = points[idx];
 
   // Find the first level where nothing dominates the newcomer.
   std::size_t f = 0;
   for (; f < fronts_.size(); ++f) {
     bool dominated = false;
     for (std::size_t m : fronts_[f]) {
-      if (dominates_span(points.row(m), p, dims)) {
+      if (dominates_unchecked(points[m], p)) {
         dominated = true;
         break;
       }
@@ -163,13 +130,13 @@ void FrontLevels::insert(const ObjectiveBatch& points, std::size_t idx) {
   auto& front = fronts_[f];
   std::size_t w = 0;
   for (std::size_t r = 0; r < front.size(); ++r) {
-    if (dominates_span(p, points.row(front[r]), dims))
+    if (dominates_unchecked(p, points[front[r]]))
       moved.push_back(front[r]);
     else
       front[w++] = front[r];
   }
   front.resize(w);
-  front.push_back(idx);  // idx is the largest row index: ascending order kept
+  front.push_back(idx);  // idx is the largest index: ascending order kept
 
   // Cascade: a displaced set from level l can only push members of level
   // l+1 further down (nothing in l+1 can dominate a former member of l), so
@@ -187,7 +154,7 @@ void FrontLevels::insert(const ObjectiveBatch& points, std::size_t idx) {
     for (std::size_t r = 0; r < cur.size(); ++r) {
       bool dom = false;
       for (std::size_t t : moved) {
-        if (dominates_span(points.row(t), points.row(cur[r]), dims)) {
+        if (dominates_unchecked(points[t], points[cur[r]])) {
           dom = true;
           break;
         }
@@ -230,10 +197,6 @@ void FrontLevels::select(const std::vector<std::size_t>& keep) {
   }
   fronts_ = std::move(next_fronts);
   rank_ = std::move(next_rank);
-}
-
-bool FrontLevels::matches_full_sort(const ObjectiveBatch& points) const {
-  return fronts_ == non_dominated_sort(points);
 }
 
 std::vector<std::size_t> pareto_front(const std::vector<Objectives>& points) {

@@ -10,14 +10,9 @@ namespace hadas::core {
 /// problem boundary.
 using Objectives = std::vector<double>;
 
-class ObjectiveBatch;  // SoA storage, core/eval_batch.hpp
-
 /// True if `a` Pareto-dominates `b`: a >= b on every objective and a > b on
 /// at least one. Requires equal dimensionality.
 bool dominates(const Objectives& a, const Objectives& b);
-
-/// Span form of `dominates` for SoA batches: compares `dims` doubles.
-bool dominates_span(const double* a, const double* b, std::size_t dims);
 
 /// Fast non-dominated sorting (Deb et al., NSGA-II). Returns fronts of
 /// indices into `points`; front 0 is the non-dominated set. Every front is
@@ -26,17 +21,9 @@ bool dominates_span(const double* a, const double* b, std::size_t dims);
 std::vector<std::vector<std::size_t>> non_dominated_sort(
     const std::vector<Objectives>& points);
 
-/// Overload over SoA objective storage — no per-point heap vectors.
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    const ObjectiveBatch& points);
-
 /// Crowding distance of each member of one front (indices into `points`).
 /// Boundary points get +infinity.
 std::vector<double> crowding_distance(const std::vector<Objectives>& points,
-                                      const std::vector<std::size_t>& front);
-
-/// Overload over SoA objective storage.
-std::vector<double> crowding_distance(const ObjectiveBatch& points,
                                       const std::vector<std::size_t>& front);
 
 /// Incrementally maintained non-domination levels (ENLU-style; Li et al.
@@ -55,16 +42,14 @@ std::vector<double> crowding_distance(const ObjectiveBatch& points,
 ///    dominator in front k-1, which selection always retains.
 class FrontLevels {
  public:
-  void clear();
+  /// Rebuild from scratch (full Deb sort over `points`).
+  void rebuild(const std::vector<Objectives>& points);
 
-  /// Rebuild from scratch (full Deb sort over the batch).
-  void rebuild(const ObjectiveBatch& points);
-
-  /// ENLU insertion of row `idx`, which must be the next unseen row
+  /// ENLU insertion of points[idx], which must be the next unseen point
   /// (idx == size()). Displaced points cascade down one level at a time.
-  void insert(const ObjectiveBatch& points, std::size_t idx);
+  void insert(const std::vector<Objectives>& points, std::size_t idx);
 
-  /// Truncate to the kept rows, renumbering them 0..keep.size()-1 in list
+  /// Truncate to the kept points, renumbering them 0..keep.size()-1 in list
   /// order. `keep` must be front-prefix closed (see class comment) and
   /// listed front-major in ascending index order within each front.
   void select(const std::vector<std::size_t>& keep);
@@ -72,10 +57,6 @@ class FrontLevels {
   const std::vector<std::vector<std::size_t>>& fronts() const { return fronts_; }
   std::size_t rank_of(std::size_t idx) const { return rank_[idx]; }
   std::size_t size() const { return rank_.size(); }
-
-  /// Debug cross-check: true iff fronts() equals a from-scratch
-  /// non_dominated_sort of `points`.
-  bool matches_full_sort(const ObjectiveBatch& points) const;
 
  private:
   std::vector<std::vector<std::size_t>> fronts_;

@@ -1,17 +1,16 @@
 #include "exec/thread_pool.hpp"
 
-#include <stdexcept>
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <exception>
+#include <memory>
 
 #include "obs/metrics.hpp"
 
 namespace hadas::exec {
 
 namespace {
-/// Set while a thread runs a worker_loop, so nested waits can tell whether
-/// they may steal queue work from the pool they belong to.
-thread_local const ThreadPool* current_pool = nullptr;
-/// Which of current_pool's deques belongs to this thread.
-thread_local std::size_t current_worker = 0;
 
 /// Pool-wide instruments, resolved once (registry lookups take a mutex).
 struct PoolMetrics {
@@ -65,135 +64,42 @@ void run_serial_instrumented(std::size_t n,
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads <= 1) return;  // inline mode: no workers, no queue consumers
-  local_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    local_.push_back(std::make_unique<WorkQueue>());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // The lock orders stop_ against a worker's predicate check, so no
-    // worker can sleep through the shutdown notification.
-    std::scoped_lock lock(sleep_mutex_);
-    stop_.store(true, std::memory_order_release);
+    std::scoped_lock lock(mutex_);
+    stop_ = true;
   }
   cv_.notify_all();
+  // Workers exit only once the queue is empty, so nothing is dropped.
   for (std::thread& worker : workers_) worker.join();
-  // Inline mode never queues, and workers drain every deque (their own,
-  // the injection queue, and stealable siblings) before exiting, so
-  // nothing is left behind here.
-}
-
-bool ThreadPool::on_worker_thread() const { return current_pool == this; }
-
-bool ThreadPool::pop_front(WorkQueue& q, std::function<void()>& task) {
-  std::scoped_lock lock(q.mutex);
-  if (q.tasks.empty()) return false;
-  task = std::move(q.tasks.front());
-  q.tasks.pop_front();
-  return true;
-}
-
-bool ThreadPool::pop_back(WorkQueue& q, std::function<void()>& task) {
-  std::scoped_lock lock(q.mutex);
-  if (q.tasks.empty()) return false;
-  task = std::move(q.tasks.back());
-  q.tasks.pop_back();
-  return true;
 }
 
 void ThreadPool::post(std::function<void()> task) {
-  if (workers_.empty()) {
-    run_task_instrumented(task);  // serial fallback: run inline
-    return;
-  }
-  if (stop_.load(std::memory_order_acquire))
-    throw std::runtime_error("ThreadPool: submit after shutdown");
-  // A worker posting to itself keeps the task local (stolen only if a
-  // sibling runs dry); external posts go to the shared injection queue.
-  WorkQueue& q = (current_pool == this) ? *local_[current_worker] : injection_;
   {
-    std::scoped_lock lock(q.mutex);
-    q.tasks.push_back(std::move(task));
-  }
-  const std::size_t depth =
-      pending_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  pool_metrics().queue_peak.track_max(static_cast<double>(depth));
-  {
-    // Empty critical section: orders the pending_ increment against a
-    // sleeper's predicate check (see worker_loop), closing the lost-wakeup
-    // window without holding the lock during notify.
-    std::scoped_lock lock(sleep_mutex_);
+    std::scoped_lock lock(mutex_);
+    queue_.push_back(std::move(task));
+    pool_metrics().queue_peak.track_max(static_cast<double>(queue_.size()));
   }
   cv_.notify_one();
 }
 
-bool ThreadPool::try_get_task(std::size_t index, std::function<void()>& task) {
-  if (pending_.load(std::memory_order_acquire) == 0) return false;
-  // 1. Own deque, newest first (LIFO keeps the working set warm).
-  if (pop_back(*local_[index], task)) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    return true;
-  }
-  // 2. Shared injection queue, oldest first.
-  if (pop_front(injection_, task)) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    return true;
-  }
-  // 3. Steal the oldest task of a sibling, scanning round-robin from our
-  // right neighbour so victims spread instead of converging on worker 0.
-  for (std::size_t k = 1; k < local_.size(); ++k) {
-    const std::size_t victim = (index + k) % local_.size();
-    if (pop_front(*local_[victim], task)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::run_pending_task() {
-  if (workers_.empty()) return false;
-  std::function<void()> task;
-  // Pool threads use the full own-queue/injection/steal ladder; external
-  // threads (e.g. the caller inside wait()) drain injection then steal.
-  if (current_pool == this) {
-    if (!try_get_task(current_worker, task)) return false;
-  } else {
-    if (pending_.load(std::memory_order_acquire) == 0) return false;
-    bool got = pop_front(injection_, task);
-    for (std::size_t v = 0; !got && v < local_.size(); ++v)
-      got = pop_front(*local_[v], task);
-    if (!got) return false;
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  run_task_instrumented(task);
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-  current_pool = this;
-  current_worker = index;
-  std::function<void()> task;
+void ThreadPool::worker_loop() {
   for (;;) {
-    if (try_get_task(index, task)) {
-      run_task_instrumented(task);
-      task = nullptr;  // release captures before sleeping
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock lock(mutex_);
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stop requested and the queue drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock lock(sleep_mutex_);
-    cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0)
-      break;  // stop requested and every queue has drained
+    run_task_instrumented(task);
   }
-  current_pool = nullptr;
 }
 
 void ThreadPool::parallel_for(std::size_t n,

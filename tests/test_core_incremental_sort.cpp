@@ -1,21 +1,20 @@
 // Property tests for the fast inner-loop machinery: the incrementally
 // maintained non-domination levels (FrontLevels) against the from-scratch
-// Deb sort, the SoA evaluation batches, the per-generation arena, the
-// warm-start seed pool, and the single-draw reset mutation.
+// Deb sort, NSGA-II on FrontLevels against a full-sort reference NSGA-II,
+// the warm-start seed pool, and the single-draw reset mutation.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <cstring>
-#include <set>
+#include <limits>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/eval_batch.hpp"
 #include "core/hadas_engine.hpp"
 #include "core/nsga2.hpp"
 #include "core/pareto.hpp"
-#include "exec/arena.hpp"
 #include "hw/device.hpp"
 #include "util/rng.hpp"
 
@@ -25,7 +24,6 @@ namespace {
 using core::FrontLevels;
 using core::IntGenome;
 using core::Objectives;
-using core::ObjectiveBatch;
 
 /// Random population with deliberate duplicates: values come from a small
 /// integer grid, so equal points, dominated chains, and incomparable pairs
@@ -42,11 +40,11 @@ std::vector<Objectives> random_population(util::Rng& rng, std::size_t n,
   return points;
 }
 
-ObjectiveBatch to_batch(const std::vector<Objectives>& points,
-                        std::size_t dims) {
-  ObjectiveBatch batch(dims);
-  for (const auto& p : points) batch.push_back(p);
-  return batch;
+/// Levels built by inserting points one at a time, in index order.
+FrontLevels insert_all(const std::vector<Objectives>& points) {
+  FrontLevels levels;
+  for (std::size_t i = 0; i < points.size(); ++i) levels.insert(points, i);
+  return levels;
 }
 
 /// The 1000-population property: building the levels by inserting each point
@@ -60,89 +58,62 @@ TEST(IncrementalSort, MatchesFullSortOnRandomPopulations) {
     const std::int64_t grid = 1 + static_cast<std::int64_t>(rng.uniform_index(6));
     const auto points = random_population(rng, n, dims, grid);
 
-    ObjectiveBatch batch(dims);
-    FrontLevels levels;
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(points[i]);
-      levels.insert(batch, i);
-    }
-    ASSERT_TRUE(levels.matches_full_sort(batch))
+    ASSERT_EQ(insert_all(points).fronts(), core::non_dominated_sort(points))
         << "round " << round << ": incremental != full sort";
-
-    // The AoS and SoA full sorts agree too (same canonical front order).
-    EXPECT_EQ(core::non_dominated_sort(points),
-              core::non_dominated_sort(batch));
   }
 }
 
 TEST(IncrementalSort, SingleFrontAntichain) {
   // (i, -i) points are mutually incomparable: one front holding everything.
-  ObjectiveBatch batch(2);
-  FrontLevels levels;
-  for (std::size_t i = 0; i < 64; ++i) {
-    batch.push_back({static_cast<double>(i), -static_cast<double>(i)});
-    levels.insert(batch, i);
-  }
+  std::vector<Objectives> points;
+  for (std::size_t i = 0; i < 64; ++i)
+    points.push_back({static_cast<double>(i), -static_cast<double>(i)});
+  const FrontLevels levels = insert_all(points);
   ASSERT_EQ(levels.fronts().size(), 1u);
   EXPECT_EQ(levels.fronts()[0].size(), 64u);
-  EXPECT_TRUE(levels.matches_full_sort(batch));
+  EXPECT_EQ(levels.fronts(), core::non_dominated_sort(points));
 }
 
 TEST(IncrementalSort, TotallyOrderedChainAscendingAndDescending) {
   // A dominance chain inserted worst-first forces the maximal number of
   // displacement cascades; best-first inserts each point into a new front 0.
   for (const bool ascending : {true, false}) {
-    ObjectiveBatch batch(2);
-    FrontLevels levels;
+    std::vector<Objectives> points;
     for (std::size_t i = 0; i < 40; ++i) {
       const double v = static_cast<double>(ascending ? i : 40 - i);
-      batch.push_back({v, v});
-      levels.insert(batch, i);
+      points.push_back({v, v});
     }
+    const FrontLevels levels = insert_all(points);
     ASSERT_EQ(levels.fronts().size(), 40u);
     for (const auto& front : levels.fronts()) EXPECT_EQ(front.size(), 1u);
-    EXPECT_TRUE(levels.matches_full_sort(batch));
+    EXPECT_EQ(levels.fronts(), core::non_dominated_sort(points));
   }
 }
 
 TEST(IncrementalSort, AllDuplicatePointsShareOneFront) {
   // Equal points do not dominate each other (no strict improvement).
-  ObjectiveBatch batch(3);
-  FrontLevels levels;
-  for (std::size_t i = 0; i < 32; ++i) {
-    batch.push_back({1.0, 2.0, 3.0});
-    levels.insert(batch, i);
-  }
+  const std::vector<Objectives> points(32, Objectives{1.0, 2.0, 3.0});
+  const FrontLevels levels = insert_all(points);
   ASSERT_EQ(levels.fronts().size(), 1u);
   EXPECT_EQ(levels.fronts()[0].size(), 32u);
-  EXPECT_TRUE(levels.matches_full_sort(batch));
+  EXPECT_EQ(levels.fronts(), core::non_dominated_sort(points));
 }
 
 TEST(IncrementalSort, RebuildEqualsIncrementalConstruction) {
   util::Rng rng(77);
   for (int round = 0; round < 50; ++round) {
     const auto points = random_population(rng, 25, 2, 4);
-    const ObjectiveBatch batch = to_batch(points, 2);
-
     FrontLevels rebuilt;
-    rebuilt.rebuild(batch);
-
-    ObjectiveBatch grown(2);
-    FrontLevels incremental;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      grown.push_back(points[i]);
-      incremental.insert(grown, i);
-    }
-    EXPECT_EQ(rebuilt.fronts(), incremental.fronts());
+    rebuilt.rebuild(points);
+    EXPECT_EQ(rebuilt.fronts(), insert_all(points).fronts());
   }
 }
 
 TEST(IncrementalSort, RankOfAgreesWithFrontMembership) {
   util::Rng rng(99);
   const auto points = random_population(rng, 50, 3, 5);
-  const ObjectiveBatch batch = to_batch(points, 3);
   FrontLevels levels;
-  levels.rebuild(batch);
+  levels.rebuild(points);
   for (std::size_t f = 0; f < levels.fronts().size(); ++f)
     for (std::size_t idx : levels.fronts()[f]) EXPECT_EQ(levels.rank_of(idx), f);
 }
@@ -155,9 +126,8 @@ TEST(IncrementalSort, SelectMatchesFullSortOfSurvivors) {
   for (int round = 0; round < 200; ++round) {
     const std::size_t n = 8 + rng.uniform_index(30);
     const auto points = random_population(rng, n, 2, 5);
-    ObjectiveBatch batch = to_batch(points, 2);
     FrontLevels levels;
-    levels.rebuild(batch);
+    levels.rebuild(points);
 
     const std::size_t target = 1 + rng.uniform_index(n - 1);
     std::vector<std::size_t> keep;
@@ -174,84 +144,14 @@ TEST(IncrementalSort, SelectMatchesFullSortOfSurvivors) {
       if (keep.size() == target) break;
     }
 
-    batch.select(keep);
+    std::vector<Objectives> survivors;
+    for (std::size_t idx : keep) survivors.push_back(points[idx]);
     levels.select(keep);
-    ASSERT_EQ(batch.size(), target);
+    ASSERT_EQ(survivors.size(), target);
     ASSERT_EQ(levels.size(), target);
-    EXPECT_TRUE(levels.matches_full_sort(batch))
+    EXPECT_EQ(levels.fronts(), core::non_dominated_sort(survivors))
         << "round " << round << ": survivors diverged from full sort";
   }
-}
-
-TEST(EvalBatch, PushBackRoundTripsAndAdoptsDims) {
-  ObjectiveBatch batch;
-  EXPECT_EQ(batch.push_back({1.0, 2.0}), 0u);
-  EXPECT_EQ(batch.push_back({3.0, 4.0}), 1u);
-  EXPECT_EQ(batch.dims(), 2u);
-  EXPECT_EQ(batch.to_objectives(0), (Objectives{1.0, 2.0}));
-  EXPECT_EQ(batch.to_objectives(1), (Objectives{3.0, 4.0}));
-}
-
-TEST(EvalBatch, SelectCompactsInListOrder) {
-  ObjectiveBatch batch(1);
-  for (int i = 0; i < 6; ++i) batch.push_back({static_cast<double>(i)});
-  batch.select({4, 1, 5});
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch.row(0)[0], 4.0);
-  EXPECT_EQ(batch.row(1)[0], 1.0);
-  EXPECT_EQ(batch.row(2)[0], 5.0);
-}
-
-TEST(EvalBatch, GenomeBatchSelectKeepsRows) {
-  core::GenomeBatch genomes(3);
-  for (std::int32_t i = 0; i < 5; ++i) genomes.push_back({i, i + 1, i + 2});
-  genomes.select({3, 0});
-  ASSERT_EQ(genomes.size(), 2u);
-  EXPECT_EQ(genomes.to_genome(0), (IntGenome{3, 4, 5}));
-  EXPECT_EQ(genomes.to_genome(1), (IntGenome{0, 1, 2}));
-}
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  exec::MonotonicArena arena(64);  // tiny first block forces growth
-  std::vector<std::pair<char*, std::size_t>> allocs;
-  for (std::size_t i = 1; i <= 40; ++i) {
-    auto* d = arena.alloc_array<double>(i);
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-    std::memset(d, 0xAB, i * sizeof(double));
-    allocs.push_back({reinterpret_cast<char*>(d), i * sizeof(double)});
-  }
-  std::sort(allocs.begin(), allocs.end());
-  for (std::size_t i = 1; i < allocs.size(); ++i)
-    EXPECT_GE(allocs[i].first, allocs[i - 1].first + allocs[i - 1].second);
-  EXPECT_GT(arena.block_count(), 1u);  // growth happened
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
-}
-
-TEST(Arena, ResetRetainsCapacityAndReusesMemory) {
-  exec::MonotonicArena arena(128);
-  void* first = arena.allocate(64, 8);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  void* again = arena.allocate(64, 8);
-  EXPECT_EQ(first, again);  // same block, rewound
-  // A steady-state loop must not keep growing the footprint.
-  arena.reset();
-  const std::size_t reserved = arena.bytes_reserved();
-  for (int round = 0; round < 100; ++round) {
-    arena.reset();
-    (void)arena.alloc_array<std::size_t>(8);
-    (void)arena.alloc_array<double>(8);
-  }
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(Arena, StlAllocatorBuildsContainers) {
-  exec::MonotonicArena arena;
-  std::vector<int, exec::ArenaAllocator<int>> v{exec::ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(v[i], i);
-  EXPECT_GT(arena.bytes_allocated(), 1000 * sizeof(int) - 1);
 }
 
 /// reset_mutation with per-gene probability 1: the new value must never
@@ -405,6 +305,265 @@ TEST(Nsga2WarmStart, RejectsWrongLengthSeeds) {
   ToyProblem problem;
   core::Nsga2 nsga(config);
   EXPECT_THROW(nsga.run(problem), std::invalid_argument);
+}
+
+/// Coarse-grid problem for the differential test: every objective is a hash
+/// of the genome reduced to a few levels, so equal points, duplicate
+/// genomes and deep dominance chains are all common. Repair draws from the
+/// RNG, so any drift in the engines' RNG streams shows up in the genomes.
+class CoarseGridProblem final : public core::Problem {
+ public:
+  CoarseGridProblem(std::size_t dims, std::uint64_t levels)
+      : dims_(dims), levels_(levels) {}
+
+  std::vector<std::size_t> gene_cardinalities() const override {
+    return {2, 2, 2, 2, 3, 3, 4, 5};
+  }
+  Objectives evaluate(const IntGenome& g) override {
+    Objectives out(dims_);
+    for (std::size_t k = 0; k < dims_; ++k) {
+      std::uint64_t h = 0x9e3779b97f4a7c15ULL * (k + 1);
+      for (std::int32_t v : g) h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+      out[k] = static_cast<double>((h >> 17) % levels_);
+    }
+    return out;
+  }
+  void repair(IntGenome& g, util::Rng& rng) const override {
+    if (g[0] == g[1] && rng.bernoulli(0.5)) g[6] = static_cast<std::int32_t>(rng.uniform_index(4));
+  }
+
+ private:
+  std::size_t dims_;
+  std::uint64_t levels_;
+};
+
+/// Reference NSGA-II with the engine's operators and RNG stream, but no
+/// incremental sorting: parents and parents+offspring are re-ranked every
+/// generation by the full Deb sort. Elitist order is front-major with the
+/// crowding-truncated cut front listed in ascending index order.
+core::Nsga2Result full_sort_nsga2(const core::Nsga2Config& config,
+                                  core::Problem& problem) {
+  util::Rng rng(config.seed);
+  const auto cardinalities = problem.gene_cardinalities();
+  const double mut_prob = config.mutation_prob > 0.0
+                              ? config.mutation_prob
+                              : 1.0 / static_cast<double>(cardinalities.size());
+  core::Nsga2Result result;
+  std::map<IntGenome, Objectives> cache;
+  core::ParetoArchive archive;
+  auto evaluate = [&](const IntGenome& genome) {
+    ++result.evaluations;
+    const auto it = cache.find(genome);
+    if (it != cache.end()) return it->second;
+    Objectives obj = problem.evaluate(genome);
+    cache.emplace(genome, obj);
+    result.history.push_back({genome, obj});
+    archive.insert(obj, result.history.size() - 1);
+    return obj;
+  };
+
+  std::vector<core::Individual> pop;
+  for (std::size_t i = 0; i < config.population; ++i) {
+    IntGenome genome;
+    if (i < config.initial_population.size()) {
+      genome = config.initial_population[i];
+      problem.repair(genome, rng);
+    } else {
+      genome = problem.random_genome(rng);
+    }
+    pop.push_back({genome, evaluate(genome)});
+  }
+  auto objectives_of = [&] {
+    std::vector<Objectives> points;
+    for (const auto& ind : pop) points.push_back(ind.objectives);
+    return points;
+  };
+  auto record_stats = [&](std::size_t gen) {
+    const auto points = objectives_of();
+    const std::size_t dims = points.front().size();
+    core::GenerationStats stats;
+    stats.generation = gen;
+    stats.best.assign(dims, -std::numeric_limits<double>::infinity());
+    stats.mean.assign(dims, 0.0);
+    for (const auto& p : points) {
+      for (std::size_t k = 0; k < dims; ++k) {
+        stats.best[k] = std::max(stats.best[k], p[k]);
+        stats.mean[k] += p[k] / static_cast<double>(points.size());
+      }
+    }
+    const auto fronts = core::non_dominated_sort(points);
+    std::vector<Objectives> front;
+    for (std::size_t idx : fronts.front()) front.push_back(points[idx]);
+    stats.front_size = front.size();
+    if (config.hv_reference.size() == dims)
+      stats.hypervolume = core::hypervolume(front, config.hv_reference);
+    result.generations.push_back(std::move(stats));
+  };
+
+  for (std::size_t gen = 0; gen < config.generations; ++gen) {
+    record_stats(gen);
+    const auto parents = objectives_of();
+    const std::size_t mu = parents.size();
+    std::vector<std::size_t> rank(mu);
+    std::vector<double> crowding(mu);
+    const auto parent_fronts = core::non_dominated_sort(parents);
+    for (std::size_t f = 0; f < parent_fronts.size(); ++f) {
+      const auto dist = core::crowding_distance(parents, parent_fronts[f]);
+      for (std::size_t i = 0; i < parent_fronts[f].size(); ++i) {
+        rank[parent_fronts[f][i]] = f;
+        crowding[parent_fronts[f][i]] = dist[i];
+      }
+    }
+    auto tournament = [&] {
+      const std::size_t a = rng.uniform_index(mu);
+      const std::size_t b = rng.uniform_index(mu);
+      if (rank[a] != rank[b]) return rank[a] < rank[b] ? a : b;
+      return crowding[a] >= crowding[b] ? a : b;
+    };
+
+    std::size_t produced = 0;
+    IntGenome c1, c2;
+    while (produced < config.population) {
+      const std::size_t p1 = tournament();
+      const std::size_t p2 = tournament();
+      if (rng.bernoulli(config.crossover_prob)) {
+        core::uniform_crossover(pop[p1].genome, pop[p2].genome, c1, c2, rng);
+      } else {
+        c1 = pop[p1].genome;
+        c2 = pop[p2].genome;
+      }
+      for (IntGenome* child : {&c1, &c2}) {
+        if (produced == config.population) break;
+        core::reset_mutation(*child, cardinalities, mut_prob, rng);
+        problem.repair(*child, rng);
+        pop.push_back({*child, evaluate(*child)});
+        ++produced;
+      }
+    }
+
+    const auto all = objectives_of();
+    std::vector<std::size_t> keep;
+    for (const auto& front : core::non_dominated_sort(all)) {
+      if (keep.size() == config.population) break;
+      std::vector<std::size_t> members = front;
+      if (keep.size() + front.size() > config.population) {
+        const auto dist = core::crowding_distance(all, front);
+        std::vector<std::size_t> order(front.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
+        members.clear();
+        for (std::size_t i = 0; keep.size() + members.size() < config.population; ++i)
+          members.push_back(front[order[i]]);
+        std::sort(members.begin(), members.end());
+      }
+      keep.insert(keep.end(), members.begin(), members.end());
+    }
+    std::vector<core::Individual> survivors;
+    for (std::size_t idx : keep) survivors.push_back(pop[idx]);
+    pop = std::move(survivors);
+  }
+  record_stats(config.generations);
+
+  for (std::size_t payload : archive.payloads())
+    result.front.push_back(result.history[payload]);
+  result.final_population = pop;
+  return result;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+bool same_individuals(const std::vector<core::Individual>& a,
+                      const std::vector<core::Individual>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const core::Individual& x, const core::Individual& y) {
+                      return x.genome == y.genome &&
+                             same_bits(x.objectives, y.objectives);
+                    });
+}
+
+::testing::AssertionResult same_run(const core::Nsga2Result& got,
+                                    const core::Nsga2Result& want) {
+  if (got.evaluations != want.evaluations)
+    return ::testing::AssertionFailure()
+           << "evaluations " << got.evaluations << " vs " << want.evaluations;
+  if (!same_individuals(got.history, want.history))
+    return ::testing::AssertionFailure() << "history differs";
+  if (!same_individuals(got.final_population, want.final_population))
+    return ::testing::AssertionFailure() << "final_population differs";
+  if (!same_individuals(got.front, want.front))
+    return ::testing::AssertionFailure() << "front differs";
+  if (got.generations.size() != want.generations.size())
+    return ::testing::AssertionFailure() << "generation count differs";
+  for (std::size_t g = 0; g < got.generations.size(); ++g) {
+    const auto& a = got.generations[g];
+    const auto& b = want.generations[g];
+    if (a.generation != b.generation || !same_bits(a.best, b.best) ||
+        !same_bits(a.mean, b.mean) || a.front_size != b.front_size ||
+        !same_bits({a.hypervolume}, {b.hypervolume}))
+      return ::testing::AssertionFailure() << "GenerationStats differ at " << g;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// NSGA-II on incrementally maintained FrontLevels must reproduce the
+/// full-sort reference bit for bit: same RNG stream, same evaluations,
+/// same history, population, front and per-generation statistics.
+TEST(Nsga2Differential, MatchesFullSortReferenceOnCoarseGrids) {
+  util::Rng pick(20231);
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t dims = 2 + static_cast<std::size_t>(round % 2);
+    core::Nsga2Config config;
+    config.population = 4 + pick.uniform_index(41);   // 4..44
+    config.generations = 1 + pick.uniform_index(25);  // 1..25
+    config.crossover_prob = pick.uniform();
+    config.mutation_prob = round % 3 == 0 ? -1.0 : pick.uniform(0.05, 0.5);
+    config.seed = pick.next_u64();
+    if (round % 4 < 2) config.hv_reference.assign(dims, -1.0);
+    if (round % 3 != 2) {
+      // Warm seeds with duplicates; more seeds than slots get truncated.
+      const std::size_t seeds = 1 + pick.uniform_index(config.population + 4);
+      CoarseGridProblem shape(dims, 2);
+      for (std::size_t i = 0; i < seeds; ++i) {
+        IntGenome seed = i > 0 && pick.bernoulli(0.3)
+                             ? config.initial_population.back()
+                             : shape.random_genome(pick);
+        config.initial_population.push_back(std::move(seed));
+      }
+    }
+    const std::uint64_t levels = 2 + pick.uniform_index(4);  // 2..5 levels
+
+    CoarseGridProblem engine_problem(dims, levels);
+    CoarseGridProblem reference_problem(dims, levels);
+    const auto got = core::Nsga2(config).run(engine_problem);
+    const auto want = full_sort_nsga2(config, reference_problem);
+    ASSERT_TRUE(same_run(got, want))
+        << "round " << round << " (population " << config.population
+        << ", generations " << config.generations << ", dims " << dims << ")";
+  }
+}
+
+/// The differential test must not pass vacuously: across its configs the
+/// runs see multi-front populations and evaluate duplicate genomes.
+TEST(Nsga2Differential, CoarseGridRunsHaveTiesAndManyFronts) {
+  core::Nsga2Config config;
+  config.population = 24;
+  config.generations = 10;
+  config.seed = 7;
+  CoarseGridProblem problem(2, 3);
+  const auto result = core::Nsga2(config).run(problem);
+  EXPECT_GT(result.evaluations, result.history.size());  // cache hits
+  std::vector<Objectives> seen;
+  for (const auto& ind : result.history) seen.push_back(ind.objectives);
+  EXPECT_GE(core::non_dominated_sort(seen).size(), 3u);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_NE(std::unique(seen.begin(), seen.end()), seen.end());  // equal points
 }
 
 }  // namespace

@@ -69,6 +69,10 @@ TEST(NonDominatedSort, EmptyAndSingleton) {
   EXPECT_EQ(fronts[0], (std::vector<std::size_t>{0}));
 }
 
+TEST(NonDominatedSort, RejectsMixedDimensions) {
+  EXPECT_THROW(non_dominated_sort({{1.0, 2.0}, {1.0}}), std::invalid_argument);
+}
+
 TEST(CrowdingDistance, BoundariesAreInfinite) {
   const std::vector<Objectives> points = {
       {1.0, 4.0}, {2.0, 3.0}, {3.0, 2.0}, {4.0, 1.0}};

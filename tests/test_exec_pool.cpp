@@ -2,6 +2,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,25 +14,15 @@
 namespace hadas {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasksAndReturnsResults) {
-  exec::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i)
-    futures.push_back(pool.submit([i] { return i * i; }));
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  int expected = 0;
-  for (int i = 0; i < 32; ++i) expected += i * i;
-  EXPECT_EQ(sum, expected);
-}
-
 TEST(ThreadPool, InlineModeHasNoWorkers) {
   exec::ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 0u);  // inline mode: tasks run on the caller
-  auto future = pool.submit([] { return 7; });
-  EXPECT_EQ(future.get(), 7);
-  EXPECT_FALSE(pool.run_pending_task());  // nothing ever queues
+  EXPECT_EQ(pool.size(), 0u);  // inline mode: iterations run on the caller
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(8);
+  pool.parallel_for(ran_on.size(), [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPool, LifecycleRepeatedConstructDestroy) {
@@ -39,21 +30,24 @@ TEST(ThreadPool, LifecycleRepeatedConstructDestroy) {
     std::atomic<int> ran{0};
     {
       exec::ThreadPool pool(3);
-      for (int i = 0; i < 10; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
+      EXPECT_EQ(pool.size(), 3u);
+      pool.parallel_for(10, [&ran](std::size_t) { ran.fetch_add(1); });
     }  // destructor drains and joins
     EXPECT_EQ(ran.load(), 10);
   }
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {
+  // parallel_for can return while helper tasks it posted are still queued
+  // (the caller claimed every iteration first). The destructor must drain
+  // them: none may be dropped or run against a dead pool.
   std::atomic<int> ran{0};
   {
     exec::ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i)
-      pool.submit([&ran] { ran.fetch_add(1); });
-  }  // join: all 64 must have run, none dropped
-  EXPECT_EQ(ran.load(), 64);
+    for (int round = 0; round < 64; ++round)
+      pool.parallel_for(2, [&ran](std::size_t) { ran.fetch_add(1); });
+  }  // join: every iteration ran exactly once, no helper left behind
+  EXPECT_EQ(ran.load(), 128);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -78,12 +72,6 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
   EXPECT_EQ(completed.load(), 15);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughFuture) {
-  exec::ThreadPool pool(2);
-  auto future = pool.submit([]() -> int { throw std::logic_error("bad"); });
-  EXPECT_THROW(future.get(), std::logic_error);
-}
-
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   for (std::size_t threads : {2u, 4u}) {
     exec::ThreadPool pool(threads);
@@ -93,22 +81,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     });
     EXPECT_EQ(inner_runs.load(), 32);
   }
-}
-
-TEST(ThreadPool, NestedSubmitWithCooperativeWaitDoesNotDeadlock) {
-  // Worst case: a 2-worker pool whose tasks each submit and wait on a
-  // child task. Blocking .get() could starve; ThreadPool::wait drains the
-  // queue while waiting, so this must finish.
-  exec::ThreadPool pool(2);
-  std::vector<std::future<int>> outers;
-  for (int i = 0; i < 8; ++i) {
-    outers.push_back(pool.submit([&pool, i] {
-      auto inner = pool.submit([i] { return i + 100; });
-      return pool.wait(std::move(inner)) + 1;
-    }));
-  }
-  for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(pool.wait(std::move(outers[i])), i + 101);
 }
 
 TEST(Dispatcher, MapReturnsResultsInIndexOrder) {

@@ -96,7 +96,10 @@ struct NetStack {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
   }
-  ~NetStack() { std::filesystem::remove_all(dir); }
+  ~NetStack() {
+    std::error_code ignored;  // a destructor must not throw
+    std::filesystem::remove_all(dir, ignored);
+  }
 
   DaemonConfig daemon_config() const {
     DaemonConfig config;
@@ -162,9 +165,10 @@ TEST(NetResume, FlakySeversMidStreamStillByteIdentical) {
 
 /// Steps a clean (chaos-free) run needs, so the kill sweeps below can place
 /// a kill at every step of a real run. The loopback is fully deterministic:
-/// equal configs always take the same number of steps.
-int clean_step_count() {
-  NetStack stack("count_clean", 2);
+/// equal configs always take the same number of steps. `caller` names the
+/// state directory: the sweeps run as separate processes in parallel.
+int clean_step_count(const std::string& caller) {
+  NetStack stack("count_clean_" + caller, 2);
   ServeDaemon daemon(stack.handler, stack.bridge, stack.daemon_config());
   daemon.start();
   ServeClient client(stack.handler, stack.client_config());
@@ -179,7 +183,7 @@ int clean_step_count() {
 
 TEST(NetResume, ClientKilledAtEveryStepResumesWithZeroLoss) {
   const std::string want = direct_report(2);
-  const int steps = clean_step_count();
+  const int steps = clean_step_count("client_killed");
   ASSERT_GT(steps, 0);
   for (int kill_at = 0; kill_at < steps; ++kill_at) {
     NetStack stack("ck" + std::to_string(kill_at), 2);
@@ -203,7 +207,7 @@ TEST(NetResume, ClientKilledAtEveryStepResumesWithZeroLoss) {
 
 TEST(NetResume, ServerKilledAtEveryStepResumesWithZeroLoss) {
   const std::string want = direct_report(2);
-  const int steps = clean_step_count();
+  const int steps = clean_step_count("server_killed");
   ASSERT_GT(steps, 0);
   const std::uint64_t resumed_before =
       net::net_metrics().sessions_resumed.value();
