@@ -1,9 +1,10 @@
 #include "core/serialize.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+
+#include "util/strutil.hpp"
 
 namespace hadas::core {
 
@@ -153,36 +154,11 @@ std::vector<FinalSolution> final_pareto_from_json(const Json& json) {
   return solutions;
 }
 
-namespace {
-
-std::string hex_u64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
-
-std::uint64_t u64_from_hex(const std::string& text) {
-  if (text.empty() || text.size() > 16)
-    throw std::invalid_argument("u64_from_hex: bad length '" + text + "'");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-    else throw std::invalid_argument("u64_from_hex: bad digit in '" + text + "'");
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
-
-}  // namespace
-
 Json to_json(const hadas::util::Rng::State& state) {
   Json json;
   Json::Array words;
-  for (std::uint64_t w : state.words) words.push_back(Json(hex_u64(w)));
+  for (std::uint64_t w : state.words)
+    words.push_back(Json(hadas::util::hex_u64(w)));
   json["words"] = Json(std::move(words));
   json["has_cached_normal"] = Json(state.has_cached_normal);
   json["cached_normal"] = Json(state.cached_normal);
@@ -195,7 +171,8 @@ hadas::util::Rng::State rng_state_from_json(const Json& json) {
   if (words.size() != state.words.size())
     throw std::invalid_argument("rng_state_from_json: wrong word count");
   for (std::size_t i = 0; i < words.size(); ++i)
-    state.words[i] = u64_from_hex(words[i].as_string());
+    state.words[i] =
+        hadas::util::parse_hex_u64("rng word", words[i].as_string());
   state.has_cached_normal = json.at("has_cached_normal").as_bool();
   state.cached_normal = json.at("cached_normal").as_number();
   return state;

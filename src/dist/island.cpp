@@ -1,7 +1,6 @@
 #include "dist/island.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
@@ -10,6 +9,7 @@
 #include "util/durable/durable_file.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
+#include "util/strutil.hpp"
 
 namespace hadas::dist {
 
@@ -19,28 +19,6 @@ using hadas::util::durable::CorruptStage;
 using hadas::util::durable::DurableFile;
 
 namespace {
-
-std::string hex_u64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
-
-std::uint64_t u64_from_hex(const std::string& text) {
-  if (text.empty() || text.size() > 16)
-    throw std::invalid_argument("bad u64 hex '" + text + "'");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-    else throw std::invalid_argument("bad u64 hex digit in '" + text + "'");
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
 
 Json genomes_to_json(const std::vector<supernet::Genome>& genomes) {
   Json::Array rows;
@@ -108,7 +86,7 @@ Json spec_to_json(const DistSpec& spec) {
       Json(spec.ioe_backbones_per_generation);
   json["ioe_population"] = Json(spec.ioe_population);
   json["ioe_generations"] = Json(spec.ioe_generations);
-  json["seed_hex"] = Json(hex_u64(spec.seed));
+  json["seed_hex"] = Json(util::hex_u64(spec.seed));
   json["train_size"] = Json(spec.train_size);
   json["epochs"] = Json(spec.epochs);
   json["max_latency_s"] = Json(spec.max_latency_s);
@@ -137,7 +115,8 @@ DistSpec spec_from_json(const Json& json) {
       json.at("ioe_backbones_per_generation").as_index();
   spec.ioe_population = json.at("ioe_population").as_index();
   spec.ioe_generations = json.at("ioe_generations").as_index();
-  spec.seed = u64_from_hex(json.at("seed_hex").as_string());
+  spec.seed =
+      util::parse_hex_u64("spec seed_hex", json.at("seed_hex").as_string());
   spec.train_size = json.at("train_size").as_index();
   spec.epochs = json.at("epochs").as_index();
   spec.max_latency_s = json.at("max_latency_s").as_number();

@@ -1,6 +1,5 @@
 #include "dist/net_transport.hpp"
 
-#include <cstdio>
 #include <filesystem>
 
 #include "dist/metrics.hpp"
@@ -14,37 +13,8 @@ namespace hadas::dist {
 
 namespace {
 
-net::Frame ack_frame(std::uint64_t read_seq) {
-  net::Frame frame;
-  frame.type = net::FrameType::kAck;
-  net::put_u64(frame.payload, read_seq);
-  return frame;
-}
-
-const net::BackedWriter& empty_writer() {
-  static const net::BackedWriter writer;
-  return writer;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
-util::Json rounds_to_json(const std::set<std::size_t>& rounds) {
-  util::Json::Array array;
-  for (std::size_t round : rounds)
-    array.emplace_back(std::to_string(round));
-  return util::Json(std::move(array));
-}
-
-std::set<std::size_t> rounds_from_json(const util::Json& json) {
-  std::set<std::size_t> rounds;
-  for (const util::Json& entry : json.as_array())
-    rounds.insert(util::parse_size("session round", entry.as_string()));
-  return rounds;
+std::size_t island_of(const std::string& id) {
+  return *parse_dist_session_id(id);
 }
 
 }  // namespace
@@ -68,7 +38,8 @@ std::string dist_session_path(const std::string& workdir, std::size_t island) {
 }
 
 std::string spec_fingerprint(const DistSpec& spec) {
-  return "spec-" + hex16(util::durable::crc64(spec_to_json(spec).dump(0)));
+  return "spec-" +
+         util::hex_u64(util::durable::crc64(spec_to_json(spec).dump(0)));
 }
 
 void append_blob(net::BackedWriter& writer, net::FrameType type,
@@ -106,6 +77,20 @@ std::string dist_chunk_key(const DistChunk& chunk) {
          std::to_string(chunk.round);
 }
 
+void write_rounds(util::JsonWriter& writer,
+                  const std::set<std::size_t>& rounds) {
+  writer.begin_array();
+  for (std::size_t round : rounds) net::write_u64_string(writer, round);
+  writer.end_array();
+}
+
+std::set<std::size_t> rounds_from_json(const util::Json& json) {
+  std::set<std::size_t> rounds;
+  for (const util::Json& entry : json.as_array())
+    rounds.insert(util::parse_size("session round", entry.as_string()));
+  return rounds;
+}
+
 DistNetMetrics& dist_net_metrics() {
   static DistNetMetrics metrics;
   return metrics;
@@ -119,20 +104,21 @@ NetTransport::NetTransport(DistSpec spec, std::string workdir,
       options_(options),
       say_(std::move(say)),
       fingerprint_(spec_fingerprint(spec_)),
-      space_(spec_space(spec_)) {
+      space_(spec_space(spec_)),
+      owned_handler_(options.socket_handler == nullptr
+                         ? std::make_unique<net::TcpSocketHandler>()
+                         : nullptr),
+      host_(handler(),
+            net::HostConfig{options.listen.value_or(util::HostPort{}),
+                            workdir_, kDistSessionFormatTag, fingerprint_,
+                            "dist-net", "worker",
+                            &dist_net_metrics().refusals, say_},
+            *this) {
   if (!options_.listen.has_value())
     throw std::invalid_argument("NetTransport: options.listen is required");
-  if (options_.socket_handler == nullptr)
-    owned_handler_ = std::make_unique<net::TcpSocketHandler>();
-  // Materialize the dist.net.* family up front so a --metrics-out snapshot
-  // lists it (at zero) even for a run with no network traffic at all.
-  dist_net_metrics();
-}
-
-NetTransport::~NetTransport() {
-  for (const std::unique_ptr<Conn>& conn : connections_)
-    if (conn != nullptr) conn->transport.drop();
-  if (started_) handler().close_listener(listener_);
+  // Resolving the refusal counter above materialized the dist.net.* family,
+  // so a --metrics-out snapshot lists it (at zero) even for a run with no
+  // network traffic at all.
 }
 
 net::SocketHandler& NetTransport::handler() {
@@ -149,13 +135,14 @@ void NetTransport::start() {
   if (started_) return;
   std::filesystem::create_directories(workdir_);
   sessions_.resize(spec_.islands);
+  health_.resize(spec_.islands);
   done_.assign(spec_.islands, false);
   const auto now = Clock::now();
   for (std::size_t i = 0; i < spec_.islands; ++i) {
     done_[i] = island_final_valid(final_path(workdir_, i));
-    sessions_[i].last_activity = now;
+    health_[i].last_activity = now;
   }
-  listener_ = handler().listen(*options_.listen);
+  host_.start();
   started_ = true;
 }
 
@@ -167,15 +154,9 @@ bool NetTransport::finished() const {
 
 std::size_t NetTransport::quarantined_count() const {
   std::size_t count = 0;
-  for (const IslandSession& session : sessions_)
-    if (session.quarantined) ++count;
+  for (const IslandHealth& health : health_)
+    if (health.quarantined) ++count;
   return count;
-}
-
-void NetTransport::touch_activity(std::size_t island) {
-  IslandSession& session = sessions_[island];
-  session.last_activity = Clock::now();
-  session.misses = 0;
 }
 
 void NetTransport::observe_acked(IslandSession& session,
@@ -195,153 +176,78 @@ void NetTransport::observe_acked(IslandSession& session,
   inflight.resize(kept);
 }
 
-NetTransport::IslandSession* NetTransport::find_session(std::size_t island) {
-  IslandSession& session = sessions_[island];
-  if (session.live) return &session;
-  std::optional<net::SessionState> state = net::load_session_state(
-      dist_session_path(workdir_, island), kDistSessionFormatTag);
-  if (!state) return nullptr;
-  if (state->fingerprint != fingerprint_)
-    throw net::ProtocolError(
-        "dist-net: session journal of island " + std::to_string(island) +
-        " was written under a different spec (journaled '" +
-        state->fingerprint + "', running '" + fingerprint_ + "')");
-  session.writer.restore(state->write_acked, state->write_unacked);
-  session.reader.restore(state->read_seq);
-  session.pushed = rounds_from_json(state->app.at("pushed"));
-  session.partial = state->app.at("partial").as_string();
-  session.partial_key = state->app.at("partial_key").as_string();
-  session.live = true;
-  dist_net_metrics().sessions_resumed.inc();
-  return &session;
-}
-
-void NetTransport::save_session(std::size_t island) {
-  const IslandSession& session = sessions_[island];
-  net::SessionState state;
-  state.session_id = dist_session_id(island);
-  state.fingerprint = fingerprint_;
-  state.write_acked = session.writer.acked();
-  state.write_unacked = session.writer.unacked();
-  state.read_seq = session.reader.read_seq();
-  util::Json::Object app;
-  app["pushed"] = rounds_to_json(session.pushed);
-  app["partial"] = util::Json(session.partial);
-  app["partial_key"] = util::Json(session.partial_key);
-  state.app = util::Json(std::move(app));
-  net::save_session_state(dist_session_path(workdir_, island), state,
-                          kDistSessionFormatTag);
-}
-
-bool NetTransport::refuse(Conn& conn, const std::string& reason) {
-  net::Frame frame;
-  frame.type = net::FrameType::kRefuse;
-  frame.payload = reason;
-  conn.transport.send_frame(frame);
-  conn.closing = true;  // drain the refusal, then drop
-  dist_net_metrics().refusals.inc();
-  return true;
-}
-
-bool NetTransport::handle_hello(Conn& conn, const net::Frame& frame) {
-  if (frame.payload.size() < 4 + 8)
-    return refuse(conn, "malformed hello frame");
-  const std::uint32_t version = net::get_u32(frame.payload, 0);
-  if (version != net::kProtocolVersion)
-    return refuse(conn, "protocol version " + std::to_string(version) +
-                            " not supported (coordinator speaks " +
-                            std::to_string(net::kProtocolVersion) + ")");
-  const std::uint64_t worker_read_seq = net::get_u64(frame.payload, 4);
-  const std::string id = frame.payload.substr(12);
+std::optional<std::string> NetTransport::refusal(const std::string& id) {
   const std::optional<std::size_t> island = parse_dist_session_id(id);
-  if (!island.has_value())
-    return refuse(conn, "invalid dist session id '" + id +
-                            "' (expected island-<index>)");
+  if (!island.has_value() || dist_session_id(*island) != id)
+    return "invalid dist session id '" + id + "' (expected island-<index>)";
   if (*island >= spec_.islands)
-    return refuse(conn, "island " + std::to_string(*island) +
-                            " out of range (spec has " +
-                            std::to_string(spec_.islands) + " islands)");
-  if (sessions_[*island].quarantined)
-    return refuse(conn, "island " + std::to_string(*island) +
-                            " was quarantined after repeated partitions and "
-                            "is being finished inline by the coordinator");
-
-  // A newer connection for an island steals the session from a stale one (a
-  // worker that rebooted while its old socket is still half-open).
-  for (const std::unique_ptr<Conn>& other : connections_) {
-    if (other != nullptr && other.get() != &conn && other->island == *island)
-      other->transport.drop();
-  }
-
-  IslandSession* session = nullptr;
-  try {
-    session = find_session(*island);
-  } catch (const net::ProtocolError& error) {
-    return refuse(conn, error.what());
-  } catch (const util::durable::CheckpointCorruptError& error) {
-    // An unreadable coordinator journal cannot serve this session; the
-    // refusal loop ends in quarantine + inline salvage, which converges.
-    return refuse(conn, std::string("dist-net: session journal corrupt: ") +
-                            error.what());
-  }
-  const auto welcome_tail = [&](net::Frame& welcome) {
-    const std::string spec_json = spec_to_json(spec_).dump(0);
-    net::put_u32(welcome.payload,
-                 static_cast<std::uint32_t>(fingerprint_.size()));
-    welcome.payload += fingerprint_;
-    welcome.payload += spec_json;
-  };
-  if (session == nullptr && done_[*island]) {
-    // The island's result is durable and its session was garbage-collected:
-    // the worker only needs to learn that it is done.
-    net::Frame welcome;
-    welcome.type = net::FrameType::kWelcome;
-    net::put_u64(welcome.payload, net::kSessionCompleted);
-    welcome_tail(welcome);
-    conn.transport.send_frame(welcome);
-    conn.island = *island;
-    conn.handshaken = true;
-    conn.closing = true;
-    return true;
-  }
-  if (session == nullptr && worker_read_seq > 0)
-    // The worker durably consumed stream bytes this coordinator has no
-    // journal for, and the island is not finished — unservable.
-    return refuse(conn, "durable read_seq " + std::to_string(worker_read_seq) +
-                            " for island " + std::to_string(*island) +
-                            " but the coordinator holds no session journal — "
-                            "worker journal and coordinator workdir disagree");
-  if (session == nullptr) {
-    session = &sessions_[*island];
-    session->live = true;
-  }
-  if (worker_read_seq < session->writer.acked() ||
-      worker_read_seq > session->writer.write_seq())
-    return refuse(conn, "durable read_seq " + std::to_string(worker_read_seq) +
-                            " is outside island " + std::to_string(*island) +
-                            " replay window [" +
-                            std::to_string(session->writer.acked()) + ", " +
-                            std::to_string(session->writer.write_seq()) +
-                            "] — worker journal lost or regressed");
-
-  session->writer.ack(worker_read_seq);
-  session->reader.clear_inbox();  // un-consumed bytes come back via replay
-  conn.transport.set_flush_cursor(worker_read_seq);
-
-  net::Frame welcome;
-  welcome.type = net::FrameType::kWelcome;
-  net::put_u64(welcome.payload, session->reader.read_seq());
-  welcome_tail(welcome);
-  conn.transport.send_frame(welcome);
-  conn.island = *island;
-  conn.handshaken = true;
-  touch_activity(*island);
-  return true;
+    return "island " + std::to_string(*island) + " out of range (spec has " +
+           std::to_string(spec_.islands) + " islands)";
+  if (health_[*island].quarantined)
+    return "island " + std::to_string(*island) +
+           " was quarantined after repeated partitions and is being "
+           "finished inline by the coordinator";
+  return std::nullopt;
 }
 
-void NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
-                                   const net::Frame& frame, bool& completed,
-                                   DistReport& report) {
+net::SessionStream* NetTransport::session(const std::string& id) {
+  IslandSession& session = sessions_[island_of(id)];
+  return session.live ? &session : nullptr;
+}
+
+net::SessionStream& NetTransport::open(const std::string& id,
+                                       const util::Json* journal) {
+  IslandSession& session = sessions_[island_of(id)];
+  session = IslandSession{};
+  if (journal != nullptr) {
+    session.pushed = rounds_from_json(journal->at("pushed"));
+    session.partial = journal->at("partial").as_string();
+    session.partial_key = journal->at("partial_key").as_string();
+    dist_net_metrics().sessions_resumed.inc();
+  }
+  session.live = true;
+  return session;
+}
+
+NetTransport::Unknown NetTransport::unknown(const std::string& id,
+                                            std::uint64_t peer_read_seq,
+                                            std::string& reason) {
+  const std::size_t island = island_of(id);
+  // The island's result is durable and its session was garbage-collected:
+  // the worker only needs to learn that it is done.
+  if (done_[island]) return Unknown::kCompleted;
+  if (peer_read_seq == 0) return Unknown::kCreate;
+  // The worker durably consumed stream bytes this coordinator has no
+  // journal for, and the island is not finished — unservable.
+  reason = "durable read_seq " + std::to_string(peer_read_seq) +
+           " for island " + std::to_string(island) +
+           " but the coordinator holds no session journal — worker journal "
+           "and coordinator workdir disagree";
+  return Unknown::kRefuse;
+}
+
+void NetTransport::welcome_tail(std::string& payload) const {
+  net::put_u32(payload, static_cast<std::uint32_t>(fingerprint_.size()));
+  payload += fingerprint_;
+  payload += spec_to_json(spec_).dump(0);
+}
+
+void NetTransport::write_app(util::JsonWriter& writer,
+                             const std::string& id) const {
+  const IslandSession& session = sessions_[island_of(id)];
+  writer.begin_object();
+  writer.key("partial");
+  writer.string(session.partial);
+  writer.key("partial_key");
+  writer.string(session.partial_key);
+  writer.key("pushed");
+  write_rounds(writer, session.pushed);
+  writer.end_object();
+}
+
+bool NetTransport::apply(const std::string& id, const net::Frame& frame) {
+  const std::size_t island = island_of(id);
+  IslandSession& session = sessions_[island];
   if (frame.type != net::FrameType::kDistMigrants &&
       frame.type != net::FrameType::kDistFinal)
     throw net::ProtocolError(
@@ -361,7 +267,7 @@ void NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
   if (!chunk.last) {
     session.partial_key = key;
     session.partial += chunk.bytes;
-    return;
+    return false;
   }
   const std::string text = session.partial + chunk.bytes;
   session.partial.clear();
@@ -390,11 +296,11 @@ void NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
     }
     dist_net_metrics().migrant_sets_received.inc();
     if (!wrote) dist_net_metrics().migrant_sets_replayed.inc();
-    return;
+    return false;
   }
 
-  // kDistFinal: the island result. Written verbatim, validated, then the
-  // session completes (journal GC'd after the ack below).
+  // kDistFinal: the island result. Written verbatim and validated; the
+  // session completes (the host acks, then drops the journal).
   const std::string path = final_path(workdir_, island);
   util::durable::DurableFile::write_idempotent(path, kIslandResultFormatTag,
                                                text);
@@ -409,48 +315,33 @@ void NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
   }
   dist_net_metrics().finals_received.inc();
   done_[island] = true;
-  (void)report;
-  completed = true;
-}
-
-bool NetTransport::advance_session(Conn& conn, DistReport& report) {
-  IslandSession& session = sessions_[conn.island];
-  bool mutated = false;
-  bool completed = false;
-  while (std::optional<net::PeekedFrame> peeked =
-             net::peek_frame(session.reader.inbox())) {
-    apply_app_frame(conn.island, session, peeked->frame, completed, report);
-    session.reader.consume(peeked->encoded_size);
-    mutated = true;
-  }
-  if (!mutated) return false;
-  touch_activity(conn.island);
-  if (completed) {
-    // Ack the final so the worker can exit, then garbage-collect. A lost
-    // ack is covered by the kSessionCompleted handshake answer.
-    conn.transport.send_frame(ack_frame(session.reader.read_seq()));
-    std::error_code ec;
-    std::filesystem::remove(dist_session_path(workdir_, conn.island), ec);
-    const bool quarantined = session.quarantined;
-    session = IslandSession{};
-    session.quarantined = quarantined;
-    session.last_activity = Clock::now();
-    conn.closing = true;
-    say_("dist-net: island " + std::to_string(conn.island) +
-         " result received; session complete");
-  } else {
-    // save-before-ack: the ack must never outrun the journal.
-    save_session(conn.island);
-    conn.transport.send_frame(ack_frame(session.reader.read_seq()));
-  }
   return true;
 }
 
-bool NetTransport::push_migrants(Conn& conn) {
-  if (spec_.islands <= 1) return false;
-  IslandSession& session = sessions_[conn.island];
+void NetTransport::close(const std::string& id) {
+  sessions_[island_of(id)] = IslandSession{};
+  say_("dist-net: island " + std::to_string(island_of(id)) +
+       " result received; session complete");
+}
+
+void NetTransport::on_peer_frame(const std::string& id, net::FrameType type) {
+  const std::size_t island = island_of(id);
+  if (type == net::FrameType::kAck) {
+    IslandSession& session = sessions_[island];
+    observe_acked(session, session.writer.acked());
+  }
+  // A worker deep inside a round keeps re-sending its current read_seq, and
+  // any ack — novel or duplicate — proves the island alive.
+  health_[island].last_activity = Clock::now();
+  health_[island].misses = 0;
+}
+
+bool NetTransport::feed(const std::string& id) {
+  const std::size_t island = island_of(id);
+  if (spec_.islands <= 1 || health_[island].quarantined) return false;
+  IslandSession& session = sessions_[island];
   if (!session.live) return false;
-  const std::size_t sender = inbound_neighbor(spec_, conn.island);
+  const std::size_t sender = inbound_neighbor(spec_, island);
   const bool timed = obs::enabled();
   bool appended = false;
   for (std::size_t round = 0; round + 1 < round_count(spec_); ++round) {
@@ -470,19 +361,17 @@ bool NetTransport::push_migrants(Conn& conn) {
   // Journal the appended bytes before any pump can flush them: a crash
   // after sending un-journaled bytes would leave the worker's durable
   // read_seq ahead of the restored writer — an unservable session.
-  if (appended) save_session(conn.island);
+  if (appended) host_.save(id);
   return appended;
 }
 
 void NetTransport::quarantine(std::size_t island, DistReport& report) {
-  IslandSession& session = sessions_[island];
-  session.quarantined = true;
+  health_[island].quarantined = true;
   ++report.workers_quarantined;
   dist_metrics().quarantined.inc();
   dist_net_metrics().quarantines.inc();
   hadas::util::failpoint("dist.salvage");
-  for (const std::unique_ptr<Conn>& conn : connections_)
-    if (conn != nullptr && conn->island == island) conn->transport.drop();
+  host_.disconnect(dist_session_id(island));
   say_("dist-net: WARNING island " + std::to_string(island) +
        " quarantined after " +
        std::to_string(std::max<std::size_t>(
@@ -497,19 +386,19 @@ bool NetTransport::watchdog(DistReport& report) {
   const std::size_t threshold =
       std::max<std::size_t>(1, options_.island_failure_threshold);
   bool progress = false;
-  for (std::size_t island = 0; island < sessions_.size(); ++island) {
-    IslandSession& session = sessions_[island];
-    if (done_[island] || session.quarantined) continue;
-    if (now - session.last_activity <= window) continue;
-    session.last_activity = now;
-    ++session.misses;
+  for (std::size_t island = 0; island < health_.size(); ++island) {
+    IslandHealth& health = health_[island];
+    if (done_[island] || health.quarantined) continue;
+    if (now - health.last_activity <= window) continue;
+    health.last_activity = now;
+    ++health.misses;
     ++report.heartbeat_misses;
     dist_metrics().heartbeat_misses.inc();
     say_("dist-net: island " + std::to_string(island) +
-         " heartbeat window missed (" + std::to_string(session.misses) + "/" +
+         " heartbeat window missed (" + std::to_string(health.misses) + "/" +
          std::to_string(threshold) + ")");
     progress = true;
-    if (session.misses >= threshold) quarantine(island, report);
+    if (health.misses >= threshold) quarantine(island, report);
   }
   return progress;
 }
@@ -517,8 +406,8 @@ bool NetTransport::watchdog(DistReport& report) {
 bool NetTransport::salvage_step() {
   bool progress = false;
   bool ran_round = false;
-  for (std::size_t island = 0; island < sessions_.size(); ++island) {
-    if (!sessions_[island].quarantined || done_[island]) continue;
+  for (std::size_t island = 0; island < health_.size(); ++island) {
+    if (!health_[island].quarantined || done_[island]) continue;
     if (cancelled()) return progress;
     const IslandProgress state = inspect_island(spec_, workdir_, island);
     if (state.final_written) {
@@ -550,87 +439,14 @@ bool NetTransport::salvage_step() {
     // An inline round blocked this loop for seconds; the silence was ours,
     // not the workers' — restart every live island's activity window.
     const auto now = Clock::now();
-    for (IslandSession& session : sessions_) session.last_activity = now;
+    for (IslandHealth& health : health_) health.last_activity = now;
   }
   return progress;
 }
 
 bool NetTransport::step(DistReport& report) {
   if (!started_) start();
-  bool progress = false;
-  while (std::unique_ptr<net::Socket> socket = handler().accept(listener_)) {
-    auto conn = std::make_unique<Conn>();
-    conn->transport.attach(std::move(socket));
-    connections_.push_back(std::move(conn));
-    progress = true;
-  }
-  // Dead slots are nulled in place (never reordered) so handle_hello's
-  // session-steal scan sees every still-live connection during the pass;
-  // the vector is compacted once at the end.
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    Conn& conn = *connections_[i];
-    bool alive = true;
-    try {
-      const auto writer_of = [&]() -> const net::BackedWriter& {
-        return conn.handshaken && sessions_[conn.island].live
-                   ? sessions_[conn.island].writer
-                   : empty_writer();
-      };
-      alive = conn.transport.pump(writer_of());
-      bool ok = true;
-      std::optional<net::Frame> frame;
-      while (ok && !conn.closing && (frame = conn.transport.next())) {
-        progress = true;
-        if (!conn.handshaken) {
-          ok = frame->type == net::FrameType::kHello &&
-               handle_hello(conn, *frame);
-        } else if (frame->type == net::FrameType::kData) {
-          if (frame->payload.size() < 8)
-            throw net::ProtocolError("dist-net: malformed data frame");
-          sessions_[conn.island].reader.offer(
-              net::get_u64(frame->payload, 0),
-              std::string_view(frame->payload).substr(8));
-          touch_activity(conn.island);
-        } else if (frame->type == net::FrameType::kAck) {
-          IslandSession& session = sessions_[conn.island];
-          session.writer.ack(net::get_u64(frame->payload, 0));
-          observe_acked(session, session.writer.acked());
-          // Heartbeats piggyback on acks: a worker deep inside a round
-          // keeps re-sending its current read_seq, and any ack — novel or
-          // duplicate — proves the island alive.
-          touch_activity(conn.island);
-        } else {
-          throw net::ProtocolError(
-              std::string("dist-net: unexpected transport frame '") +
-              net::frame_type_name(frame->type) + "'");
-        }
-      }
-      if (ok && conn.handshaken && !conn.closing &&
-          sessions_[conn.island].live)
-        progress |= advance_session(conn, report);
-      if (ok && conn.handshaken && !conn.closing &&
-          !sessions_[conn.island].quarantined)
-        progress |= push_migrants(conn);
-      if (!ok) alive = false;
-      if (alive) alive = conn.transport.pump(writer_of());
-    } catch (const net::ProtocolError& error) {
-      say_("dist-net: connection error: " + std::string(error.what()));
-      alive = false;
-    } catch (const net::FrameError&) {
-      alive = false;
-    }
-    if (!alive) {
-      conn.transport.drop();
-      connections_[i] = nullptr;  // dies; session state stays for a resume
-      progress = true;
-    } else if (conn.closing && conn.transport.outbox_size() == 0) {
-      conn.transport.drop();
-      connections_[i] = nullptr;
-      progress = true;
-    }
-  }
-  std::erase_if(connections_,
-                [](const std::unique_ptr<Conn>& c) { return c == nullptr; });
+  bool progress = host_.step();
   progress |= watchdog(report);
   progress |= salvage_step();
   return progress;
@@ -652,7 +468,7 @@ SuperviseOutcome NetTransport::supervise(DistReport& report) {
     if (finished()) {
       // Drain: closing connections still hold final acks the workers need
       // to exit; keep pumping briefly, then stop accepting new work.
-      if (connections_.empty()) break;
+      if (host_.connection_count() == 0) break;
       if (!finished_at.has_value()) finished_at = Clock::now();
       if (Clock::now() - *finished_at > std::chrono::seconds(5)) break;
     }

@@ -12,10 +12,8 @@
 #include "dist/coordinator.hpp"
 #include "dist/transport.hpp"
 #include "net/backed_stream.hpp"
-#include "net/connection.hpp"
+#include "net/endpoint.hpp"
 #include "net/frame.hpp"
-#include "net/session.hpp"
-#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "supernet/search_space.hpp"
 
@@ -87,6 +85,10 @@ DistChunk parse_dist_chunk(const net::Frame& frame);
 /// detected as a protocol violation instead of corrupting an artifact.
 std::string dist_chunk_key(const DistChunk& chunk);
 
+/// A journaled set of migration rounds: an array of decimal strings.
+void write_rounds(util::JsonWriter& writer, const std::set<std::size_t>& rounds);
+std::set<std::size_t> rounds_from_json(const util::Json& json);
+
 /// dist.net.* instruments (global registry; exported via --metrics-out /
 /// metrics-dump like the dist.* and net.* families). Strictly observe-only.
 struct DistNetMetrics {
@@ -127,11 +129,10 @@ DistNetMetrics& dist_net_metrics();
 /// step — because its ring successor may be a healthy remote worker blocked
 /// on exactly those migrants. A killed coordinator restarts, reloads every
 /// session journal on the next HELLO and converges byte-identically.
-class NetTransport : public DistTransport {
+class NetTransport : public DistTransport, private net::SessionHost::App {
  public:
   NetTransport(DistSpec spec, std::string workdir, const DistOptions& options,
                std::function<void(const std::string&)> say);
-  ~NetTransport() override;
 
   const char* name() const override { return "net"; }
 
@@ -144,48 +145,53 @@ class NetTransport : public DistTransport {
   /// Every island's final result file in the workdir is valid.
   bool finished() const;
   std::size_t quarantined_count() const;
-  std::size_t connection_count() const { return connections_.size(); }
+  std::size_t connection_count() const { return host_.connection_count(); }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct IslandSession {
-    net::BackedWriter writer;
-    net::BackedReader reader;
+  /// The coordinator half of one island's session.
+  struct IslandSession : net::SessionStream {
     std::set<std::size_t> pushed;  ///< inbound rounds queued down the stream
     std::string partial;           ///< chunk-run accumulator
     std::string partial_key;
     bool live = false;  ///< in-memory state materialized (fresh or restored)
-    bool quarantined = false;
-    std::size_t misses = 0;
-    Clock::time_point last_activity{};
     /// (stream offset after a queued migrant set, queue time) — matched
     /// against worker acks for the migration-latency histogram.
     std::vector<std::pair<std::uint64_t, Clock::time_point>> inflight;
   };
 
-  struct Conn {
-    net::Transport transport;
-    std::size_t island = static_cast<std::size_t>(-1);
-    bool handshaken = false;
-    bool closing = false;
+  /// What the watchdog knows about an island, session or not.
+  struct IslandHealth {
+    bool quarantined = false;
+    std::size_t misses = 0;
+    Clock::time_point last_activity{};
   };
+
+  // net::SessionHost::App: sessions are "island-<i>", WELCOME tail =
+  // u32 fingerprint length | fingerprint | spec JSON.
+  std::optional<std::string> refusal(const std::string& id) override;
+  net::SessionStream* session(const std::string& id) override;
+  net::SessionStream& open(const std::string& id,
+                           const util::Json* journal) override;
+  Unknown unknown(const std::string& id, std::uint64_t peer_read_seq,
+                  std::string& reason) override;
+  void welcome_tail(std::string& payload) const override;
+  void write_app(util::JsonWriter& writer,
+                 const std::string& id) const override;
+  bool apply(const std::string& id, const net::Frame& frame) override;
+  void close(const std::string& id) override;
+  /// Heartbeats piggyback on transport frames: any frame proves the island
+  /// alive; acks also close migration-latency samples.
+  void on_peer_frame(const std::string& id, net::FrameType type) override;
+  /// Push the island's inbound migrants.
+  bool feed(const std::string& id) override;
 
   net::SocketHandler& handler();
   bool cancelled() const;
-  IslandSession* find_session(std::size_t island);
-  void save_session(std::size_t island);
-  bool refuse(Conn& conn, const std::string& reason);
-  bool handle_hello(Conn& conn, const net::Frame& frame);
-  void apply_app_frame(std::size_t island, IslandSession& session,
-                       const net::Frame& frame, bool& completed,
-                       DistReport& report);
-  bool advance_session(Conn& conn, DistReport& report);
-  bool push_migrants(Conn& conn);
   void quarantine(std::size_t island, DistReport& report);
   bool watchdog(DistReport& report);
   bool salvage_step();
-  void touch_activity(std::size_t island);
   void observe_acked(IslandSession& session, std::uint64_t acked);
 
   DistSpec spec_;
@@ -196,9 +202,9 @@ class NetTransport : public DistTransport {
   supernet::SearchSpace space_;
   std::unique_ptr<net::SocketHandler> owned_handler_;
   std::vector<IslandSession> sessions_;
+  std::vector<IslandHealth> health_;
   std::vector<bool> done_;
-  std::vector<std::unique_ptr<Conn>> connections_;
-  int listener_ = -1;
+  net::SessionHost host_;
   bool started_ = false;
 };
 

@@ -182,49 +182,52 @@ int run_worker(const DistSpec& spec, const std::string& workdir,
 
 namespace {
 
-net::Frame net_ack_frame(std::uint64_t read_seq) {
-  net::Frame frame;
-  frame.type = net::FrameType::kAck;
-  net::put_u64(frame.payload, read_seq);
-  return frame;
-}
-
-util::Json sent_rounds_to_json(const std::set<std::size_t>& rounds) {
-  util::Json::Array array;
-  for (std::size_t round : rounds)
-    array.emplace_back(std::to_string(round));
-  return util::Json(std::move(array));
-}
-
-std::set<std::size_t> sent_rounds_from_json(const util::Json& json) {
-  std::set<std::size_t> rounds;
-  for (const util::Json& entry : json.as_array())
-    rounds.insert(util::parse_size("session sent round", entry.as_string()));
-  return rounds;
+/// The fingerprint and spec JSON of a dist WELCOME tail.
+std::pair<std::string_view, std::string_view> split_welcome(
+    std::string_view tail) {
+  if (tail.size() < 4)
+    throw net::ProtocolError("NetWorker: malformed welcome frame");
+  const std::uint32_t fp_len = net::get_u32(tail, 0);
+  if (tail.size() < 4 + std::size_t{fp_len})
+    throw net::ProtocolError("NetWorker: malformed welcome frame");
+  return {tail.substr(4, fp_len), tail.substr(4 + fp_len)};
 }
 
 }  // namespace
 
 NetWorker::NetWorker(net::SocketHandler* handler, NetWorkerConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      owned_handler_(handler == nullptr
+                         ? std::make_unique<net::TcpSocketHandler>()
+                         : nullptr),
+      handler_(handler != nullptr ? handler : owned_handler_.get()),
+      dialer_(*handler_,
+              net::DialerConfig{config_.connect,
+                                dist_session_id(config_.island),
+                                dist_session_path(config_.state_dir,
+                                                  config_.island),
+                                kDistSessionFormatTag, "NetWorker",
+                                "coordinator", config_.max_connect_attempts,
+                                config_.max_handshake_failures,
+                                &dist_net_metrics().reconnects},
+              *this) {
   if (config_.state_dir.empty())
     throw std::invalid_argument("NetWorker: a state directory is required");
   std::filesystem::create_directories(config_.state_dir);
-  if (handler == nullptr) {
-    owned_handler_ = std::make_unique<net::TcpSocketHandler>();
-    handler_ = owned_handler_.get();
-  } else {
-    handler_ = handler;
+  if (std::optional<util::Json> app = dialer_.restore()) {
+    sent_ = rounds_from_json(app->at("sent"));
+    final_sent_ = app->at("final_sent").as_bool();
+    partial_ = app->at("partial").as_string();
+    partial_key_ = app->at("partial_key").as_string();
   }
-  state_path_ = dist_session_path(config_.state_dir, config_.island);
-  if (std::filesystem::exists(state_path_)) restore();
   // A spec durably adopted by a previous incarnation lets this worker keep
   // computing rounds while disconnected; only migrant exchange stalls.
   const std::string spec_file = spec_path(config_.state_dir);
   if (std::filesystem::exists(spec_file)) {
     try {
       DistSpec spec = load_spec(spec_file);
-      if (!fingerprint_.empty() && spec_fingerprint(spec) != fingerprint_)
+      if (!dialer_.fingerprint().empty() &&
+          spec_fingerprint(spec) != dialer_.fingerprint())
         throw net::ProtocolError(
             "NetWorker: state dir '" + config_.state_dir +
             "' holds a spec that does not match its session journal — it "
@@ -245,40 +248,17 @@ bool NetWorker::cancelled() const {
          config_.cancel->load(std::memory_order_relaxed);
 }
 
-void NetWorker::save() {
-  net::SessionState state;
-  state.session_id = dist_session_id(config_.island);
-  state.fingerprint = fingerprint_;
-  state.write_acked = writer_.acked();
-  state.write_unacked = writer_.unacked();
-  state.read_seq = reader_.read_seq();
-  util::Json::Object app;
-  app["sent"] = sent_rounds_to_json(sent_);
-  app["final_sent"] = util::Json(final_sent_);
-  app["partial"] = util::Json(partial_);
-  app["partial_key"] = util::Json(partial_key_);
-  state.app = util::Json(std::move(app));
-  net::save_session_state(state_path_, state, kDistSessionFormatTag);
-}
-
-void NetWorker::restore() {
-  std::optional<net::SessionState> state =
-      net::load_session_state(state_path_, kDistSessionFormatTag);
-  if (!state)
-    throw std::invalid_argument("NetWorker: cannot restore from '" +
-                                state_path_ + "'");
-  if (state->session_id != dist_session_id(config_.island))
-    throw std::invalid_argument(
-        "NetWorker: journal '" + state_path_ + "' belongs to session '" +
-        state->session_id + "', not '" + dist_session_id(config_.island) +
-        "'");
-  writer_.restore(state->write_acked, state->write_unacked);
-  reader_.restore(state->read_seq);
-  fingerprint_ = state->fingerprint;
-  sent_ = sent_rounds_from_json(state->app.at("sent"));
-  final_sent_ = state->app.at("final_sent").as_bool();
-  partial_ = state->app.at("partial").as_string();
-  partial_key_ = state->app.at("partial_key").as_string();
+void NetWorker::write_app(util::JsonWriter& writer) const {
+  writer.begin_object();
+  writer.key("final_sent");
+  writer.boolean(final_sent_);
+  writer.key("partial");
+  writer.string(partial_);
+  writer.key("partial_key");
+  writer.string(partial_key_);
+  writer.key("sent");
+  write_rounds(writer, sent_);
+  writer.end_object();
 }
 
 void NetWorker::adopt_spec(const std::string& spec_json) {
@@ -309,137 +289,57 @@ void NetWorker::adopt_spec(const std::string& spec_json) {
   spec_ = std::move(spec);
 }
 
-bool NetWorker::try_connect() {
-  std::unique_ptr<net::Socket> socket;
-  try {
-    socket = handler().connect(config_.connect);
-  } catch (const net::ConnectError&) {
-    ++connect_failures_;
-    return false;
-  }
-  connect_failures_ = 0;
-  transport_.attach(std::move(socket));
-  handshaken_ = false;
-  if (connected_once_) {
-    ++reconnects_;
-    dist_net_metrics().reconnects.inc();
-  }
-  connected_once_ = true;
-  net::Frame hello;
-  hello.type = net::FrameType::kHello;
-  net::put_u32(hello.payload, net::kProtocolVersion);
-  net::put_u64(hello.payload, reader_.read_seq());
-  hello.payload += dist_session_id(config_.island);
-  transport_.send_frame(hello);
-  return true;
+std::string NetWorker::welcome_fingerprint(std::string_view tail) const {
+  return std::string(split_welcome(tail).first);
 }
 
-void NetWorker::complete() {
-  done_ = true;
-  transport_.drop();
-  std::error_code ec;
-  std::filesystem::remove(state_path_, ec);
-}
-
-void NetWorker::handle_welcome(const net::Frame& frame) {
-  if (frame.payload.size() < 12)
-    throw net::ProtocolError("NetWorker: malformed welcome frame");
-  const std::uint64_t coord_read_seq = net::get_u64(frame.payload, 0);
-  const std::uint32_t fp_len = net::get_u32(frame.payload, 8);
-  if (frame.payload.size() < 12 + fp_len)
-    throw net::ProtocolError("NetWorker: malformed welcome frame");
-  const std::string fingerprint = frame.payload.substr(12, fp_len);
-  const std::string spec_json = frame.payload.substr(12 + fp_len);
-  if (coord_read_seq == net::kSessionCompleted) {
-    // The coordinator holds the island result and GC'd the session; it only
-    // acks the final after durably writing it, so we are done.
-    if (!final_sent_)
-      throw net::ProtocolError(
-          "NetWorker: coordinator reports island " +
-          std::to_string(config_.island) +
-          " complete but this worker never uploaded a result — stale state "
-          "dir?");
-    complete();
-    return;
-  }
-  if (!fingerprint_.empty() && fingerprint_ != fingerprint)
-    throw net::ProtocolError(
-        "NetWorker: coordinator spec changed mid-session (journaled '" +
-        fingerprint_ + "', coordinator sent '" + fingerprint +
-        "') — refusing to mix two searches in one island");
-  if (!spec_.has_value()) adopt_spec(spec_json);
+void NetWorker::on_welcome(std::string_view tail) {
+  const auto [fingerprint, spec_json] = split_welcome(tail);
+  if (!spec_.has_value()) adopt_spec(std::string(spec_json));
   if (spec_fingerprint(*spec_) != fingerprint)
     throw net::ProtocolError(
         "NetWorker: local spec fingerprint " + spec_fingerprint(*spec_) +
-        " does not match the coordinator's " + fingerprint);
-  if (coord_read_seq < writer_.acked() ||
-      coord_read_seq > writer_.write_seq())
-    throw net::ProtocolError(
-        "NetWorker: coordinator read_seq " + std::to_string(coord_read_seq) +
-        " outside our replay window [" + std::to_string(writer_.acked()) +
-        ", " + std::to_string(writer_.write_seq()) + "]");
-  const bool first = fingerprint_.empty();
-  fingerprint_ = fingerprint;
-  writer_.ack(coord_read_seq);
-  reader_.clear_inbox();
-  transport_.set_flush_cursor(coord_read_seq);
-  handshaken_ = true;
-  handshake_failures_ = 0;
-  if (first) save();  // journal the fingerprint we committed to
+        " does not match the coordinator's " + std::string(fingerprint));
 }
 
-bool NetWorker::advance() {
-  bool mutated = false;
-  while (std::optional<net::PeekedFrame> peeked =
-             net::peek_frame(reader_.inbox())) {
-    const DistChunk chunk = parse_dist_chunk(peeked->frame);
-    if (chunk.type != net::FrameType::kDistMigrants)
-      throw net::ProtocolError(
-          std::string("NetWorker: unexpected app frame '") +
-          net::frame_type_name(chunk.type) + "'");
-    if (chunk.island != inbound_neighbor(*spec_, config_.island))
-      throw net::ProtocolError(
-          "NetWorker: pushed migrants labelled island " +
-          std::to_string(chunk.island) + " but island " +
-          std::to_string(config_.island) + "'s inbound neighbor is " +
-          std::to_string(inbound_neighbor(*spec_, config_.island)));
-    const std::string key = dist_chunk_key(chunk);
-    if (!partial_key_.empty() && partial_key_ != key)
-      throw net::ProtocolError("NetWorker: interleaved chunk runs ('" +
-                               partial_key_ + "' interrupted by '" + key +
-                               "')");
-    if (!chunk.last) {
-      partial_key_ = key;
-      partial_ += chunk.bytes;
-    } else {
-      const std::string text = partial_ + chunk.bytes;
-      partial_.clear();
-      partial_key_.clear();
-      const std::string path =
-          migrants_path(config_.state_dir, chunk.island, chunk.round);
-      const bool wrote = util::durable::DurableFile::write_idempotent(
-          path, kMigrantsFormatTag, text);
-      try {
-        (void)load_migrants_file(path);
-      } catch (const util::durable::CheckpointCorruptError& error) {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-        throw net::ProtocolError(
-            std::string("NetWorker: malformed pushed migrant payload: ") +
-            error.what());
-      }
-      dist_net_metrics().migrant_sets_received.inc();
-      if (!wrote) dist_net_metrics().migrant_sets_replayed.inc();
-    }
-    reader_.consume(peeked->encoded_size);
-    mutated = true;
+void NetWorker::apply(const net::Frame& frame) {
+  const DistChunk chunk = parse_dist_chunk(frame);
+  if (chunk.type != net::FrameType::kDistMigrants)
+    throw net::ProtocolError(std::string("NetWorker: unexpected app frame '") +
+                             net::frame_type_name(chunk.type) + "'");
+  if (chunk.island != inbound_neighbor(*spec_, config_.island))
+    throw net::ProtocolError(
+        "NetWorker: pushed migrants labelled island " +
+        std::to_string(chunk.island) + " but island " +
+        std::to_string(config_.island) + "'s inbound neighbor is " +
+        std::to_string(inbound_neighbor(*spec_, config_.island)));
+  const std::string key = dist_chunk_key(chunk);
+  if (!partial_key_.empty() && partial_key_ != key)
+    throw net::ProtocolError("NetWorker: interleaved chunk runs ('" +
+                             partial_key_ + "' interrupted by '" + key + "')");
+  if (!chunk.last) {
+    partial_key_ = key;
+    partial_ += chunk.bytes;
+    return;
   }
-  if (!mutated) return false;
-  // save-before-ack: journal the consumed bytes (and any durably written
-  // migrant file) before the ack can reach the coordinator.
-  save();
-  transport_.send_frame(net_ack_frame(reader_.read_seq()));
-  return true;
+  const std::string text = partial_ + chunk.bytes;
+  partial_.clear();
+  partial_key_.clear();
+  const std::string path =
+      migrants_path(config_.state_dir, chunk.island, chunk.round);
+  const bool wrote = util::durable::DurableFile::write_idempotent(
+      path, kMigrantsFormatTag, text);
+  try {
+    (void)load_migrants_file(path);
+  } catch (const util::durable::CheckpointCorruptError& error) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    throw net::ProtocolError(
+        std::string("NetWorker: malformed pushed migrant payload: ") +
+        error.what());
+  }
+  dist_net_metrics().migrant_sets_received.inc();
+  if (!wrote) dist_net_metrics().migrant_sets_replayed.inc();
 }
 
 void NetWorker::beat() {
@@ -448,11 +348,17 @@ void NetWorker::beat() {
       now - last_beat_ < std::chrono::milliseconds(config_.beat_every_ms))
     return;
   last_beat_ = now;
-  if (!handshaken_ || !transport_.attached()) return;
-  // A duplicate ack is a no-op for the stream but proves this island alive
-  // to the coordinator's watchdog while the engine grinds through a round.
-  transport_.send_frame(net_ack_frame(reader_.read_seq()));
-  transport_.pump(writer_);
+  // A duplicate ack proves this island alive to the coordinator's watchdog
+  // while the engine grinds through a round.
+  dialer_.beat();
+}
+
+bool NetWorker::work() {
+  const bool did = work_step();
+  // An idle worker (waiting on inbound migrants) still beats: a partition
+  // of *another* island must not make this one look silent to the watchdog.
+  if (dialer_.online()) beat();
+  return did;
 }
 
 bool NetWorker::work_step() {
@@ -466,11 +372,11 @@ bool NetWorker::work_step() {
       const std::string text = util::durable::DurableFile::read(
           final_path(config_.state_dir, config_.island),
           kIslandResultFormatTag);
-      append_blob(writer_, net::FrameType::kDistFinal, config_.island, 0,
-                  text);
+      append_blob(dialer_.writer(), net::FrameType::kDistFinal,
+                  config_.island, 0, text);
       final_sent_ = true;
       // Journal the queued upload before any pump can flush it.
-      save();
+      dialer_.save();
       did = true;
     }
   } else if (progress.next_round >= round_count(spec)) {
@@ -492,107 +398,28 @@ bool NetWorker::work_step() {
       const std::string path =
           migrants_path(config_.state_dir, config_.island, round);
       if (!migrants_file_valid(path)) continue;
-      append_blob(writer_, net::FrameType::kDistMigrants, config_.island,
-                  round,
+      append_blob(dialer_.writer(), net::FrameType::kDistMigrants,
+                  config_.island, round,
                   util::durable::DurableFile::read(path, kMigrantsFormatTag));
       sent_.insert(round);
       dist_net_metrics().migrant_sets_sent.inc();
       queued = true;
     }
     if (queued) {
-      save();
+      dialer_.save();
       did = true;
     }
   }
   return did;
 }
 
-bool NetWorker::step() {
-  if (done_) return false;
-  if (handshake_failures_ >= config_.max_handshake_failures)
-    throw net::ProtocolError(
-        "NetWorker: coordinator at " + config_.connect.host + ":" +
-        std::to_string(config_.connect.port) + " dropped " +
-        std::to_string(handshake_failures_) +
-        " consecutive connections before completing a handshake");
-  // A failed dial does NOT end the step: a worker holding the spec keeps
-  // computing rounds while the coordinator is unreachable. Frames that the
-  // last pump pulled in before the connection died (the coordinator's ack
-  // of the final, which it sends just before it shuts down) are handled
-  // before dialing: attach() discards them, and nobody may be listening.
-  const bool online = transport_.attached() ||
-                      transport_.inbound_pending() > 0 || try_connect();
-  bool progress = false;
-  bool died = false;
-  if (online) {
-    const bool alive = transport_.pump(writer_);
-    try {
-      std::optional<net::Frame> frame;
-      while ((frame = transport_.next())) {
-        progress = true;
-        if (frame->type == net::FrameType::kRefuse) {
-          throw net::ProtocolError("NetWorker: coordinator refused session '" +
-                                   dist_session_id(config_.island) +
-                                   "': " + frame->payload);
-        } else if (!handshaken_) {
-          if (frame->type != net::FrameType::kWelcome)
-            throw net::ProtocolError(
-                std::string("NetWorker: expected welcome, got '") +
-                net::frame_type_name(frame->type) + "'");
-          handle_welcome(*frame);
-          if (done_) return true;
-        } else if (frame->type == net::FrameType::kData) {
-          if (frame->payload.size() < 8)
-            throw net::ProtocolError("NetWorker: malformed data frame");
-          reader_.offer(net::get_u64(frame->payload, 0),
-                        std::string_view(frame->payload).substr(8));
-        } else if (frame->type == net::FrameType::kAck) {
-          writer_.ack(net::get_u64(frame->payload, 0));
-        } else {
-          throw net::ProtocolError(
-              std::string("NetWorker: unexpected transport frame '") +
-              net::frame_type_name(frame->type) + "'");
-        }
-      }
-      if (handshaken_) progress |= advance();
-    } catch (const net::FrameError&) {
-      transport_.drop();  // corrupt transport bytes: reconnect and replay
-      return true;
-    }
-    if (!alive) {
-      // A connection that died without reaching WELCOME: a silently-
-      // rejecting coordinator would otherwise look like endless clean
-      // reconnects — count it so step() can give up loudly.
-      if (!handshaken_) ++handshake_failures_;
-      handshaken_ = false;
-      died = true;
-      transport_.drop();  // a partial frame left behind is replayed
-    }
-  }
-  progress |= work_step();
-  // An idle worker (waiting on inbound migrants) still beats: a partition
-  // of *another* island must not make this one look silent to the watchdog.
-  if (handshaken_ && transport_.attached()) beat();
-  if (final_sent_ && writer_.acked() == writer_.write_seq()) {
-    // The coordinator durably consumed everything including the final.
-    complete();
-    return true;
-  }
-  if (transport_.attached()) transport_.pump(writer_);
-  return progress || died;
-}
-
 int NetWorker::run() {
   auto last_progress = Clock::now();
-  while (!done_) {
+  while (!done()) {
     if (cancelled()) return kWorkerExitInterrupted;
-    if (connect_failures_ >= config_.max_connect_attempts)
-      throw net::ConnectError(
-          "NetWorker: cannot reach " + config_.connect.host + ":" +
-          std::to_string(config_.connect.port) + " after " +
-          std::to_string(connect_failures_) + " attempts");
+    dialer_.throw_if_unreachable();
     const bool progress = step();
-    if (done_) break;
+    if (done()) break;
     const auto now = Clock::now();
     if (progress) {
       last_progress = now;

@@ -11,8 +11,7 @@
 
 #include "dist/island.hpp"
 #include "dist/net_transport.hpp"
-#include "net/connection.hpp"
-#include "net/socket.hpp"
+#include "net/endpoint.hpp"
 #include "util/strutil.hpp"
 
 namespace hadas::dist {
@@ -87,7 +86,7 @@ struct NetWorkerConfig {
 /// with its durable read_seq, the stream replays, and no artifact is lost
 /// or duplicated. A worker that already holds the spec keeps computing
 /// rounds while partitioned — only migrant exchange stalls.
-class NetWorker {
+class NetWorker : private net::SessionDialer::App {
  public:
   /// `handler` selects the socket fabric (nullptr = real TCP sockets).
   NetWorker(net::SocketHandler* handler, NetWorkerConfig config);
@@ -96,10 +95,10 @@ class NetWorker {
   /// work. Returns true when anything progressed. Throws
   /// net::ProtocolError when the coordinator refused the session or the
   /// durable state of the two ends disagrees.
-  bool step();
+  bool step() { return dialer_.step(); }
 
-  bool done() const { return done_; }
-  std::size_t reconnects() const { return reconnects_; }
+  bool done() const { return dialer_.done(); }
+  std::size_t reconnects() const { return dialer_.reconnects(); }
   bool spec_received() const { return spec_.has_value(); }
 
   /// Blocking loop; returns a kWorkerExit* code. Throws net::ConnectError
@@ -110,38 +109,32 @@ class NetWorker {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // net::SessionDialer::App: WELCOME tail = u32 fingerprint length |
+  // fingerprint | spec JSON; app frames are pushed inbound migrants.
+  std::string welcome_fingerprint(std::string_view tail) const override;
+  void on_welcome(std::string_view tail) override;
+  void apply(const net::Frame& frame) override;
+  void write_app(util::JsonWriter& writer) const override;
+  bool finished() const override { return final_sent_; }
+  /// Island rounds and uploads, then an idle heartbeat.
+  bool work() override;
+
   net::SocketHandler& handler();
   bool cancelled() const;
-  void save();
-  void restore();
   void adopt_spec(const std::string& spec_json);
-  bool try_connect();
-  void handle_welcome(const net::Frame& frame);
-  bool advance();
   bool work_step();
   void beat();
-  void complete();
 
   NetWorkerConfig config_;
   std::unique_ptr<net::SocketHandler> owned_handler_;
   net::SocketHandler* handler_ = nullptr;
-  std::string state_path_;
-  net::Transport transport_;
-  net::BackedWriter writer_;
-  net::BackedReader reader_;
-  std::string fingerprint_;
+  net::SessionDialer dialer_;
   std::optional<DistSpec> spec_;
   std::optional<supernet::SearchSpace> space_;
   std::set<std::size_t> sent_;  ///< outbound migrant rounds already queued
   bool final_sent_ = false;
   std::string partial_;  ///< inbound chunk-run accumulator
   std::string partial_key_;
-  bool handshaken_ = false;
-  bool connected_once_ = false;
-  bool done_ = false;
-  std::size_t connect_failures_ = 0;
-  std::size_t handshake_failures_ = 0;
-  std::size_t reconnects_ = 0;
   Clock::time_point last_beat_{};
 };
 

@@ -3,9 +3,7 @@
 #include <cstdint>
 #include <string>
 
-#include "net/connection.hpp"
-#include "net/session.hpp"
-#include "net/socket.hpp"
+#include "net/endpoint.hpp"
 #include "runtime/serve/traffic.hpp"
 
 namespace hadas::net {
@@ -46,8 +44,9 @@ struct ClientConfig {
 /// zero request loss and zero duplicated bytes.
 ///
 /// Like the daemon it is non-blocking: step() performs one round, run()
-/// loops until done() with handler.wait() in between.
-class ServeClient {
+/// loops until done() with handler.wait() in between. The session protocol
+/// itself is the SessionDialer's; this class is the serve app over it.
+class ServeClient : private SessionDialer::App {
  public:
   ServeClient(SocketHandler& handler, ClientConfig config);
 
@@ -56,53 +55,46 @@ class ServeClient {
   /// run() (step() counts failed attempts silently); throws ProtocolError
   /// on a server kRefuse or after max_handshake_failures consecutive
   /// connections died before completing a handshake.
-  bool step();
+  bool step() { return dialer_.step(); }
 
   /// step() until done(). Throws ConnectError after max_connect_attempts
   /// consecutive failures.
   void run();
 
-  bool done() const { return done_; }
+  bool done() const { return dialer_.done(); }
   /// The complete ServeReport JSON text (valid once done()).
   const std::string& report() const { return report_; }
   /// The server's config fingerprint (valid after the first handshake).
-  const std::string& server_fingerprint() const { return fingerprint_; }
-  std::size_t reconnects() const { return reconnects_; }
-  std::size_t connect_failures() const { return connect_failures_; }
-  std::size_t handshake_failures() const { return handshake_failures_; }
+  const std::string& server_fingerprint() const {
+    return dialer_.fingerprint();
+  }
+  std::size_t reconnects() const { return dialer_.reconnects(); }
+  std::size_t connect_failures() const { return dialer_.connect_failures(); }
+  std::size_t handshake_failures() const {
+    return dialer_.handshake_failures();
+  }
 
  private:
-  void save();
-  void restore();
-  bool try_connect();
-  void handle_welcome(const Frame& frame);
-  /// Consume app frames (report chunks) from the inbox; saves + acks when
-  /// anything was consumed.
-  bool advance();
+  // SessionDialer::App: WELCOME tail = u64 sample count | fingerprint.
+  std::string welcome_fingerprint(std::string_view tail) const override;
+  void on_welcome(std::string_view tail) override;
+  /// Report chunks; kReportEnd queues the BYE.
+  void apply(const Frame& frame) override;
+  void write_app(util::JsonWriter& writer) const override;
+  bool finished() const override { return bye_sent_; }
+
   /// Queue the whole request trace + kFinish into the backed writer.
   void generate_requests();
 
   SocketHandler& handler_;
   ClientConfig config_;
-
-  Transport transport_;
-  BackedWriter writer_;
-  BackedReader reader_;
-  bool handshaken_ = false;
-  bool connected_once_ = false;
+  SessionDialer dialer_;
 
   // Durable app state (journaled alongside the stream offsets).
-  bool requests_queued_ = false;
   bool report_complete_ = false;
   bool bye_sent_ = false;
   std::string report_;
-  std::string fingerprint_;
   std::uint64_t sample_count_ = 0;
-
-  bool done_ = false;
-  std::size_t reconnects_ = 0;
-  std::size_t connect_failures_ = 0;
-  std::size_t handshake_failures_ = 0;
 };
 
 }  // namespace hadas::net

@@ -7,9 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "net/connection.hpp"
-#include "net/session.hpp"
-#include "net/socket.hpp"
+#include "net/endpoint.hpp"
 #include "runtime/serve/bridge.hpp"
 
 namespace hadas::net {
@@ -46,21 +44,21 @@ void write_serve_app(util::JsonWriter& writer,
 /// Single-threaded and non-blocking: step() performs one multiplexing round
 /// over all connections and returns whether anything moved; run() loops
 /// step() with handler.wait() in between. Tests drive step() directly for
-/// deterministic interleaving.
-class ServeDaemon {
+/// deterministic interleaving. The session protocol itself is the
+/// SessionHost's; this class is the serve app over it.
+class ServeDaemon : private SessionHost::App {
  public:
   ServeDaemon(SocketHandler& handler,
               const runtime::serve::ServeService& service,
               DaemonConfig config);
-  ~ServeDaemon();
 
   /// Open the listening socket. Called by run() if not already started.
-  void start();
+  void start() { host_.start(); }
 
   /// One non-blocking round: accept pending connections, pump every live
   /// connection, process frames, journal + ack. Returns true when any
   /// byte or frame moved (so callers know whether to wait).
-  bool step();
+  bool step() { return host_.step(); }
 
   /// step() until request_stop(), or until `once` sessions completed.
   void run();
@@ -69,51 +67,38 @@ class ServeDaemon {
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
   std::size_t sessions_completed() const { return completed_; }
-  std::size_t active_connections() const { return connections_.size(); }
+  std::size_t active_connections() const { return host_.connection_count(); }
   std::size_t active_sessions() const { return sessions_.size(); }
 
  private:
   /// Server half of one resumable session.
-  struct Session {
-    BackedWriter writer;
-    BackedReader reader;
+  struct Session : SessionStream {
     std::vector<runtime::serve::RemoteRequest> requests;
     bool finished = false;  ///< kFinish consumed; report queued in writer
   };
 
-  struct Conn {
-    Transport transport;
-    std::string session_id;  ///< empty until HELLO binds a session
-    bool handshaken = false;
-    bool closing = false;  ///< drain the outbox, then drop
-  };
-
-  std::string session_path(const std::string& id) const;
-  void save_session(const std::string& id, const Session& session);
-  /// In-memory session, falling back to the journal on disk; nullptr when
-  /// the id is unknown everywhere (fresh or already completed).
-  Session* find_session(const std::string& id);
-  bool handle_hello(Conn& conn, const Frame& frame);
-  /// Queue a kRefuse with `reason` and mark the connection closing (the
-  /// refusal drains, then the socket drops). Returns true: a refusal is a
-  /// handled handshake, not a protocol violation by us.
-  bool refuse(Conn& conn, const std::string& reason);
-  /// Apply complete app frames from the session's inbox; journals and acks
-  /// when anything was consumed. Returns true on progress.
-  bool advance_session(Conn& conn);
-  void apply_app_frame(const std::string& id, Session& session,
-                       const Frame& frame, bool& completed);
+  // SessionHost::App.
+  std::optional<std::string> refusal(const std::string& id) override;
+  SessionStream* session(const std::string& id) override;
+  SessionStream& open(const std::string& id,
+                      const util::Json* journal) override;
+  /// The client durably consumed report bytes of a session with no state
+  /// here: it existed and was garbage-collected at BYE, so it is complete.
+  Unknown unknown(const std::string& id, std::uint64_t peer_read_seq,
+                  std::string& reason) override;
+  void welcome_tail(std::string& payload) const override;
+  void write_app(util::JsonWriter& writer,
+                 const std::string& id) const override;
+  bool apply(const std::string& id, const Frame& frame) override;
+  void close(const std::string& id) override;
 
   SocketHandler& handler_;
   const runtime::serve::ServeService& service_;
   DaemonConfig config_;
-  int listener_ = -1;
-  bool started_ = false;
   std::atomic<bool> stop_{false};
-  std::vector<std::unique_ptr<Conn>> connections_;
   std::map<std::string, Session> sessions_;
   std::size_t completed_ = 0;
-  std::string journal_scratch_;  ///< save_session's reused payload buffer
+  SessionHost host_;
 };
 
 }  // namespace hadas::net

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "util/failpoint.hpp"
+#include "util/strutil.hpp"
 
 namespace hadas::util::durable {
 
@@ -47,13 +48,6 @@ constexpr const char* kMagic = "%HADAS-DURABLE";
 /// The line after the payload: this prefix, 16 hex CRC digits, "\n".
 constexpr std::string_view kFooterPrefix = "\n%HADAS-CRC64 ";
 constexpr std::uint32_t kVersion = 1;
-
-std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
 
 /// CRC-64/XZ slicing-by-8 tables (reflected ECMA-182 polynomial), built
 /// once. Row 0 is the classic bytewise table; row k advances a byte k more
@@ -184,7 +178,7 @@ void DurableFile::write(const std::string& path, const std::string& format_tag,
                              std::to_string(kVersion) + ' ' + format_tag +
                              ' ' + std::to_string(payload.size()) + '\n';
   const std::string footer =
-      std::string(kFooterPrefix) + hex16(crc64(payload)) + '\n';
+      std::string(kFooterPrefix) + util::hex_u64(crc64(payload)) + '\n';
   std::string bytes;
   bytes.reserve(header.size() + payload.size() + footer.size());
   bytes += header;
@@ -295,7 +289,7 @@ std::string DurableFile::read_validated(const std::string& path,
                                  "footer line missing or malformed");
   const std::string_view declared_crc =
       footer.substr(kFooterPrefix.size(), 16);
-  const std::string actual_crc = hex16(crc64(payload));
+  const std::string actual_crc = util::hex_u64(crc64(payload));
   if (declared_crc != actual_crc)
     throw CheckpointCorruptError(
         path, payload_begin, CorruptStage::kChecksum,
@@ -335,7 +329,7 @@ FileInfo DurableFile::inspect(const std::string& path) {
   info.length_ok = envelope_fits(bytes.size(), payload_begin, declared);
   if (!info.length_ok) return info;
   const std::string_view view(bytes);
-  info.crc_actual = hex16(crc64(view.substr(payload_begin, declared)));
+  info.crc_actual = util::hex_u64(crc64(view.substr(payload_begin, declared)));
   const std::string_view footer = view.substr(payload_begin + declared);
   if (footer.starts_with(kFooterPrefix))
     info.crc_declared = footer.substr(kFooterPrefix.size(), 16);

@@ -87,6 +87,28 @@ HostPort parse_hostport(const std::string& what, const std::string& value) {
   return {host, static_cast<std::uint16_t>(port)};
 }
 
+std::string hex_u64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return std::string(buf, 16);
+}
+
+std::uint64_t parse_hex_u64(const std::string& what, const std::string& value) {
+  const char* expected = "expected 1-16 hex digits";
+  if (value.empty() || value.size() > 16) reject(what, value, expected);
+  std::uint64_t out = 0;
+  for (char c : value) {
+    int digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+    else reject(what, value, expected);
+    out = (out << 4) | static_cast<std::uint64_t>(digit);
+  }
+  return out;
+}
+
 std::string to_hex(const std::string& bytes) {
   static const char* digits = "0123456789abcdef";
   std::string out;

@@ -42,6 +42,14 @@ struct HostPort {
 /// hosts containing further colons (no IPv6 literals — use a hostname).
 HostPort parse_hostport(const std::string& what, const std::string& value);
 
+/// A u64 as exactly 16 lower-case hex digits (printf "%016llx"), the form
+/// CRCs, fingerprints and RNG words take in durable files.
+std::string hex_u64(std::uint64_t value);
+
+/// Inverse of hex_u64: 1-16 hex digits of either case, nothing else.
+/// Throws std::invalid_argument naming `what` and the value.
+std::uint64_t parse_hex_u64(const std::string& what, const std::string& value);
+
 /// Lower-case hex encoding of arbitrary bytes ("ab\x00" -> "616200").
 std::string to_hex(const std::string& bytes);
 

@@ -365,6 +365,71 @@ TEST(DistNet, SpecFingerprintMismatchRefused) {
   EXPECT_TRUE(refused);
 }
 
+TEST(DistNet, LostWorkerJournalIsRefused) {
+  // A worker whose session journal was lost mid-session dials in with
+  // read_seq 0, below what the coordinator already saw acked. The
+  // coordinator must refuse it, naming the problem, and the worker must fail
+  // loudly instead of silently reconnect-looping.
+  Fleet fleet("lost_journal", 2);
+  const std::string journal =
+      hadas::dist::dist_session_path(fleet.dir + "/worker0", 0);
+  const auto consumed = [&] {
+    const auto state = hadas::net::load_session_state(
+        journal, hadas::dist::kDistSessionFormatTag);
+    return state.has_value() && state->read_seq > 0;
+  };
+  // Drive until worker 0 durably consumed (and acked) pushed migrants.
+  for (int tick = 0; tick < 200000 && !consumed(); ++tick)
+    ASSERT_FALSE(fleet.tick()) << "run finished before any migrant push";
+  ASSERT_TRUE(consumed());
+  fleet.workers[0].reset();  // kill -9; the in-flight ack still drains
+  fleet.coordinator->step(fleet.report);
+  std::filesystem::remove(journal);  // journal lost
+
+  auto amnesiac = fleet.make_worker(0);
+  std::string what;
+  for (int i = 0; i < 50 && what.empty(); ++i) {
+    fleet.coordinator->step(fleet.report);
+    try {
+      amnesiac->step();
+    } catch (const hadas::net::ProtocolError& error) {
+      what = error.what();
+    }
+  }
+  EXPECT_NE(what.find("refused"), std::string::npos) << what;
+  EXPECT_NE(what.find("worker journal lost or regressed"), std::string::npos)
+      << what;
+  // Connection-fatal, coordinator-survivable.
+  EXPECT_NO_THROW(fleet.coordinator->step(fleet.report));
+}
+
+TEST(DistNet, JournalsMatchTheirJsonTreeForm) {
+  // Worker and coordinator stream their journals; the bytes must still be
+  // the Json tree form of the same content (hadas-dist-session-v1
+  // unchanged).
+  Fleet fleet("tree", 2);
+  std::size_t checked = 0;
+  ASSERT_TRUE(fleet.drive(200000, [&](int) {
+    for (std::size_t island = 0; island < 2; ++island) {
+      for (const std::string& dir :
+           {fleet.dir + "/coord", fleet.dir + "/worker" + std::to_string(island)}) {
+        const std::string path = hadas::dist::dist_session_path(dir, island);
+        if (!std::filesystem::exists(path)) continue;
+        const std::string payload = hadas::util::durable::DurableFile::read(
+            path, hadas::dist::kDistSessionFormatTag);
+        const hadas::net::SessionState state =
+            hadas::net::session_state_from_json(
+                hadas::util::Json::parse(payload));
+        EXPECT_EQ(payload,
+                  hadas::net::session_state_to_json(state).dump(2) + "\n")
+            << path;
+        ++checked;
+      }
+    }
+  }));
+  EXPECT_GT(checked, 0u);
+}
+
 TEST(DistNet, ConcurrentFlakySessions) {
   // Satellite: four sessions multiplexed through ONE flaky handler, so the
   // sever schedule interleaves across islands mid-exchange.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,8 +17,10 @@
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
+#include "net/session.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
+#include "util/durable/durable_file.hpp"
 #include "util/rng.hpp"
 
 #include <cmath>
@@ -414,6 +417,119 @@ TEST(NetLoopback, NetMetricsAreRegisteredGlobally) {
     EXPECT_EQ(snapshot.at("histograms").as_object().count(name), 1u) << name;
   const std::string prom = obs::MetricsRegistry::global().to_prometheus();
   EXPECT_NE(prom.find("net_connections_accepted_total"), std::string::npos);
+}
+
+/// Runs `after_write` right after every write through the sockets it dials:
+/// a peer that answers at once, so its reply (and its hang-up) reach the
+/// caller in the same pump that carried the request.
+class ReactingSocketHandler : public net::SocketHandler {
+ public:
+  ReactingSocketHandler(net::SocketHandler& inner,
+                        std::function<void()> after_write)
+      : inner_(inner), after_write_(std::move(after_write)) {}
+
+  std::size_t dials() const { return dials_; }
+
+  int listen(const util::HostPort& addr) override {
+    return inner_.listen(addr);
+  }
+  std::unique_ptr<net::Socket> accept(int listener) override {
+    return inner_.accept(listener);
+  }
+  void close_listener(int listener) override {
+    inner_.close_listener(listener);
+  }
+  std::unique_ptr<net::Socket> connect(const util::HostPort& addr) override {
+    ++dials_;
+    return std::make_unique<Socket>(inner_.connect(addr), after_write_);
+  }
+  void wait(int timeout_ms) override { inner_.wait(timeout_ms); }
+
+ private:
+  class Socket : public net::Socket {
+   public:
+    Socket(std::unique_ptr<net::Socket> inner,
+           const std::function<void()>& after_write)
+        : inner_(std::move(inner)), after_write_(after_write) {}
+    std::size_t read(char* buf, std::size_t n) override {
+      return inner_->read(buf, n);
+    }
+    std::size_t write(const char* buf, std::size_t n) override {
+      const std::size_t put = inner_->write(buf, n);
+      after_write_();
+      return put;
+    }
+    void close() override { inner_->close(); }
+    bool open() const override { return inner_->open(); }
+
+   private:
+    std::unique_ptr<net::Socket> inner_;
+    const std::function<void()>& after_write_;
+  };
+
+  net::SocketHandler& inner_;
+  std::function<void()> after_write_;
+  std::size_t dials_ = 0;
+};
+
+// The daemon acks the client's BYE and hangs up before the client reads
+// again, so the ack and the close both land in the client's trailing pump.
+// The client must finish from that ack, not redial a `--once 1` daemon that
+// has already exited: that dial finds nobody listening.
+TEST(NetLoopback, ClientFinishesFromFramesLeftInADeadConnection) {
+  Loopback loop("dead_conn");
+  auto daemon = std::make_unique<ServeDaemon>(loop.handler, loop.service,
+                                              loop.daemon_config(1));
+  daemon->start();
+  ReactingSocketHandler reacting(loop.handler, [&] {
+    if (daemon == nullptr) return;
+    daemon->step();
+    // What `hadasd --once 1` does: exit once its session completed and its
+    // connections drained.
+    if (daemon->sessions_completed() == 1 && daemon->active_connections() == 0)
+      daemon.reset();
+  });
+  ClientConfig config = loop.client_config("hangup");
+  config.max_connect_attempts = 5;
+  config.reconnect_backoff_ms = 1;
+  ServeClient client(reacting, config);
+
+  client.run();
+  EXPECT_TRUE(client.done());
+  EXPECT_EQ(daemon, nullptr);  // the daemon really was gone at the end
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(reacting.dials(), 1u);
+  EXPECT_EQ(client.report(),
+            expected_report(loop.service, loop.client_config("x")));
+  EXPECT_FALSE(std::filesystem::exists(loop.dir + "/client-hangup.json"));
+}
+
+// Both ends stream their journals (no Json tree is built to save one). The
+// bytes must still be the tree form of the same content, key order and
+// escaping included — that is what keeps the journal format unchanged.
+TEST(NetLoopback, JournalsMatchTheirJsonTreeForm) {
+  Loopback loop("tree");
+  ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
+  daemon.start();
+  ServeClient client(loop.handler, loop.client_config("tree"));
+  std::size_t checked = 0;
+  for (int i = 0; i < 20000 && !client.done(); ++i) {
+    client.step();
+    daemon.step();
+    for (const std::string& path :
+         {loop.dir + "/client-tree.json", loop.dir + "/session-tree.json"}) {
+      if (!std::filesystem::exists(path)) continue;
+      const std::string payload =
+          util::durable::DurableFile::read(path, net::kSessionFormatTag);
+      const net::SessionState state =
+          net::session_state_from_json(util::Json::parse(payload));
+      ASSERT_EQ(payload, net::session_state_to_json(state).dump(2) + "\n")
+          << path << " at step " << i;
+      ++checked;
+    }
+  }
+  EXPECT_TRUE(client.done());
+  EXPECT_GT(checked, 4u);
 }
 
 TEST(NetThreadedLoopback, DaemonAndClientRunOnSeparateThreads) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/mathutil.hpp"
 #include "util/strutil.hpp"
@@ -92,6 +95,27 @@ TEST(StrUtil, StartsWithAndLower) {
   EXPECT_TRUE(starts_with("hadas_core", "hadas"));
   EXPECT_FALSE(starts_with("ha", "hadas"));
   EXPECT_EQ(to_lower("TX2 GPU"), "tx2 gpu");
+}
+
+TEST(StrUtil, HexU64IsSixteenDigitsAndRoundTrips) {
+  EXPECT_EQ(hex_u64(0), "0000000000000000");
+  EXPECT_EQ(hex_u64(0xABCDEFull), "0000000000abcdef");
+  EXPECT_EQ(hex_u64(~std::uint64_t{0}), "ffffffffffffffff");
+  // Byte-identical to the printf form the durable files were written with.
+  for (std::uint64_t v : {std::uint64_t{1}, std::uint64_t{0x5E21},
+                          std::uint64_t{0x8000000000000000ull},
+                          std::uint64_t{0x0123456789abcdefull}}) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    EXPECT_EQ(hex_u64(v), buf);
+    EXPECT_EQ(parse_hex_u64("v", hex_u64(v)), v);
+  }
+  EXPECT_EQ(parse_hex_u64("seed", "ABCdef"), 0xABCDEFull);
+  EXPECT_EQ(parse_hex_u64("seed", "7"), 7u);
+  for (const char* bad : {"", "0x10", "12g4", " 1", "1 ", "-1",
+                          "10000000000000000"})
+    EXPECT_THROW(parse_hex_u64("seed", bad), std::invalid_argument) << bad;
 }
 
 TEST(TextTable, RendersAlignedRows) {
