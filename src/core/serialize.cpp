@@ -13,6 +13,7 @@ using hadas::util::durable::CheckpointChain;
 using hadas::util::durable::CheckpointCorruptError;
 using hadas::util::durable::CorruptStage;
 using hadas::util::durable::DurableFile;
+using hadas::util::durable::decode_payload;
 
 Json to_json(const supernet::BackboneConfig& config) {
   Json json;
@@ -322,22 +323,14 @@ void validate_checkpoint(const SearchCheckpoint& checkpoint) {
   }
 }
 
-namespace {
-
-/// Parse + validate one checkpoint payload (raw JSON text). Throws
-/// CheckpointCorruptError (stage kParse or kInvariant) with no file name.
-SearchCheckpoint checkpoint_from_payload(const std::string& payload) {
-  SearchCheckpoint checkpoint;
-  try {
-    checkpoint = checkpoint_from_json(Json::parse(payload));
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError("", 0, CorruptStage::kParse, e.what());
-  }
-  validate_checkpoint(checkpoint);
-  return checkpoint;
+SearchCheckpoint checkpoint_from_payload(const std::string& payload,
+                                         const std::string& file) {
+  return decode_payload(file, CorruptStage::kParse, [&] {
+    SearchCheckpoint checkpoint = checkpoint_from_json(Json::parse(payload));
+    validate_checkpoint(checkpoint);
+    return checkpoint;
+  });
 }
-
-}  // namespace
 
 void save_checkpoint(const std::string& path,
                      const SearchCheckpoint& checkpoint) {
@@ -346,23 +339,8 @@ void save_checkpoint(const std::string& path,
 }
 
 SearchCheckpoint load_checkpoint(const std::string& path) {
-  std::string payload;
-  try {
-    payload = DurableFile::read(path, kCheckpointFormatTag);
-  } catch (const CheckpointCorruptError& e) {
-    // No envelope at all: a legacy (pre-durable) raw-JSON checkpoint.
-    if (e.stage() != CorruptStage::kHeader || e.byte_offset() != 0) throw;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-      throw std::runtime_error("load_checkpoint: cannot open " + path);
-    payload.assign((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  }
-  try {
-    return checkpoint_from_payload(payload);
-  } catch (const CheckpointCorruptError& e) {
-    throw CheckpointCorruptError(path, e.byte_offset(), e.stage(), e.detail());
-  }
+  return checkpoint_from_payload(
+      DurableFile::read_or_legacy(path, kCheckpointFormatTag), path);
 }
 
 void save_checkpoint_chain(const CheckpointChain& chain,
@@ -378,8 +356,7 @@ std::optional<LoadedCheckpoint> load_checkpoint_chain(
   const auto loaded = chain.load_newest_valid(
       kCheckpointFormatTag,
       [&parsed](const std::string& payload) {
-        parsed.reset();
-        parsed = checkpoint_from_payload(payload);
+        parsed = checkpoint_from_payload(payload, "");
       },
       warn);
   if (!loaded) return std::nullopt;

@@ -72,6 +72,11 @@ void validate_checkpoint(const SearchCheckpoint& checkpoint);
 void save_checkpoint(const std::string& path,
                      const SearchCheckpoint& checkpoint);
 
+/// The bytes-level half of load_checkpoint: parse + validate one payload;
+/// failures throw CheckpointCorruptError (kParse/kInvariant) naming `file`.
+SearchCheckpoint checkpoint_from_payload(const std::string& payload,
+                                         const std::string& file);
+
 /// Load + validate one checkpoint file. Envelope, parse or invariant
 /// failures throw util::durable::CheckpointCorruptError naming the file,
 /// byte offset and failing stage. A file with no durable envelope is

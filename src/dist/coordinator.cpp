@@ -13,7 +13,6 @@
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
 #include "obs/metrics.hpp"
-#include "util/durable/durable_file.hpp"
 #include "util/failpoint.hpp"
 
 namespace hadas::dist {
@@ -98,23 +97,12 @@ DistReport DistCoordinator::run() {
   std::filesystem::create_directories(workdir_);
 
   // A workdir is one run: reject a spec that contradicts durable state left
-  // by a previous invocation (an unreadable old spec is simply replaced —
-  // the per-island engine fingerprints still protect the checkpoints).
-  const std::string spec_file = spec_path(workdir_);
-  bool spec_current = false;
-  if (std::filesystem::exists(spec_file)) {
-    try {
-      if (spec_to_json(load_spec(spec_file)).dump(0) !=
-          spec_to_json(spec_).dump(0))
-        throw std::invalid_argument(
-            "dist: workdir '" + workdir_ +
-            "' already holds a different spec — use a fresh workdir or rerun "
-            "with the original parameters");
-      spec_current = true;
-    } catch (const hadas::util::durable::CheckpointCorruptError&) {
-    }
-  }
-  if (!spec_current) save_spec(spec_file, spec_);
+  // by a previous invocation.
+  if (!record_spec(spec_path(workdir_), spec_))
+    throw std::invalid_argument(
+        "dist: workdir '" + workdir_ +
+        "' already holds a different spec — use a fresh workdir or rerun "
+        "with the original parameters");
 
   DistReport report;
   report.islands = spec_.islands;

@@ -1,6 +1,7 @@
 #include "dist/island.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
@@ -14,9 +15,9 @@
 namespace hadas::dist {
 
 using hadas::util::Json;
-using hadas::util::durable::CheckpointCorruptError;
 using hadas::util::durable::CorruptStage;
 using hadas::util::durable::DurableFile;
+using hadas::util::durable::decode_payload;
 
 namespace {
 
@@ -137,20 +138,29 @@ void save_spec(const std::string& path, const DistSpec& spec) {
   DurableFile::write(path, kDistSpecFormatTag, spec_to_json(spec).dump(2) + "\n");
 }
 
-DistSpec load_spec(const std::string& path) {
-  const std::string payload = DurableFile::read(path, kDistSpecFormatTag);
-  DistSpec spec;
-  try {
-    spec = spec_from_json(Json::parse(payload));
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kParse, e.what());
-  }
-  try {
-    validate_spec(spec);
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kInvariant, e.what());
-  }
+DistSpec spec_from_payload(const std::string& payload,
+                           const std::string& file) {
+  const DistSpec spec = decode_payload(file, CorruptStage::kParse, [&] {
+    return spec_from_json(Json::parse(payload));
+  });
+  decode_payload(file, CorruptStage::kInvariant, [&] { validate_spec(spec); });
   return spec;
+}
+
+DistSpec load_spec(const std::string& path) {
+  return spec_from_payload(DurableFile::read(path, kDistSpecFormatTag), path);
+}
+
+bool record_spec(const std::string& path, const DistSpec& spec) {
+  if (std::filesystem::exists(path)) {
+    try {
+      return spec_to_json(load_spec(path)).dump(0) ==
+             spec_to_json(spec).dump(0);
+    } catch (const util::durable::CheckpointCorruptError&) {
+    }
+  }
+  save_spec(path, spec);
+  return true;
 }
 
 std::string spec_path(const std::string& workdir) {
@@ -286,34 +296,40 @@ std::vector<supernet::Genome> select_migrants(
   return selected;
 }
 
-void write_migrants_file(const std::string& path, const MigrantSet& migrants,
-                         bool failpoints_on) {
+std::string migrants_to_payload(const MigrantSet& migrants) {
   Json json;
   json["island"] = Json(migrants.island);
   json["round"] = Json(migrants.round);
   json["genomes"] = genomes_to_json(migrants.genomes);
-  DurableFile::write(path, kMigrantsFormatTag, json.dump(2) + "\n");
+  return json.dump(2) + "\n";
+}
+
+void write_migrants_file(const std::string& path, const MigrantSet& migrants,
+                         bool failpoints_on) {
+  DurableFile::write(path, kMigrantsFormatTag, migrants_to_payload(migrants));
   if (failpoints_on)
     hadas::util::failpoint_file("dist.migrate.write", path.c_str());
 }
 
-MigrantSet load_migrants_file(const std::string& path) {
-  const std::string payload = DurableFile::read(path, kMigrantsFormatTag);
-  try {
+MigrantSet migrants_from_payload(const std::string& payload,
+                                 const std::string& file) {
+  return decode_payload(file, CorruptStage::kParse, [&] {
     const Json json = Json::parse(payload);
     MigrantSet migrants;
     migrants.island = json.at("island").as_index();
     migrants.round = json.at("round").as_index();
     migrants.genomes = genomes_from_json(json.at("genomes"));
     return migrants;
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kParse, e.what());
-  }
+  });
+}
+
+MigrantSet load_migrants_file(const std::string& path) {
+  return migrants_from_payload(DurableFile::read(path, kMigrantsFormatTag),
+                               path);
 }
 
 bool migrants_file_valid(const std::string& path) {
-  const auto info = DurableFile::inspect(path);
-  return info.exists && info.valid() && info.format_tag == kMigrantsFormatTag;
+  return DurableFile::inspect(path).holds(kMigrantsFormatTag);
 }
 
 bool ensure_migrants_file(const supernet::SearchSpace& space,
@@ -371,23 +387,24 @@ void write_island_final(const DistSpec& spec, const std::string& workdir,
     hadas::util::failpoint_file("dist.worker.final", path.c_str());
 }
 
-Json load_island_result(const std::string& path) {
-  const std::string payload = DurableFile::read(path, kIslandResultFormatTag);
-  try {
+Json island_result_from_payload(const std::string& payload,
+                                const std::string& file) {
+  return decode_payload(file, CorruptStage::kParse, [&] {
     Json json = Json::parse(payload);
     (void)core::final_pareto_from_json(json);  // shape check
     (void)json.at("island").as_index();
     (void)json.at("next_generation").as_index();
     return json;
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kParse, e.what());
-  }
+  });
+}
+
+Json load_island_result(const std::string& path) {
+  return island_result_from_payload(
+      DurableFile::read(path, kIslandResultFormatTag), path);
 }
 
 bool island_final_valid(const std::string& path) {
-  const auto info = DurableFile::inspect(path);
-  return info.exists && info.valid() &&
-         info.format_tag == kIslandResultFormatTag;
+  return DurableFile::inspect(path).holds(kIslandResultFormatTag);
 }
 
 Json merge_islands(const DistSpec& spec, const std::string& workdir) {

@@ -68,9 +68,15 @@ DistSpec spec_from_json(const util::Json& json);
 
 /// Durable spec I/O. load_spec throws util::durable::CheckpointCorruptError
 /// (stage kParse/kInvariant) on a well-enveloped but malformed payload, so
-/// `hadas verify-checkpoint` can triage spec files like checkpoints.
+/// `hadas verify-checkpoint` can triage spec files like checkpoints;
+/// spec_from_payload is its bytes-level half.
 void save_spec(const std::string& path, const DistSpec& spec);
 DistSpec load_spec(const std::string& path);
+DistSpec spec_from_payload(const std::string& payload, const std::string& file);
+/// save_spec(), unless `path` already holds this spec. False when it holds
+/// a different one (another run's); an unreadable file is replaced — the
+/// per-island engine fingerprints still protect the checkpoints.
+bool record_spec(const std::string& path, const DistSpec& spec);
 
 /// --- Workdir layout. Every path of the distributed run lives under one
 /// directory so a run is resumed (or post-mortemed) from the workdir alone.
@@ -139,6 +145,10 @@ void write_migrants_file(const std::string& path, const MigrantSet& migrants,
                          bool failpoints_on = true);
 /// Throws CheckpointCorruptError on a corrupt envelope or payload.
 MigrantSet load_migrants_file(const std::string& path);
+/// A migrant file's payload, and its decoder (load_migrants_file's half).
+std::string migrants_to_payload(const MigrantSet& migrants);
+MigrantSet migrants_from_payload(const std::string& payload,
+                                 const std::string& file);
 
 /// True when the migrant file exists and passes envelope validation.
 bool migrants_file_valid(const std::string& path);
@@ -162,6 +172,9 @@ void write_island_final(const DistSpec& spec, const std::string& workdir,
                         std::size_t island, bool failpoints_on = true);
 /// Parsed + validated island result payload. Throws CheckpointCorruptError.
 util::Json load_island_result(const std::string& path);
+/// Its bytes-level half: decode a payload read out of `file`.
+util::Json island_result_from_payload(const std::string& payload,
+                                      const std::string& file);
 /// True when the final file exists and passes envelope validation.
 bool island_final_valid(const std::string& path);
 

@@ -271,20 +271,10 @@ void NetWorker::adopt_spec(const std::string& spec_json) {
         std::to_string(spec.islands) + " islands)");
   // Persist the spec so a respawn (and run_island_round's engine) sees the
   // exact topology the coordinator runs; reject a state dir from another run.
-  const std::string spec_file = spec_path(config_.state_dir);
-  bool current = false;
-  if (std::filesystem::exists(spec_file)) {
-    try {
-      if (spec_to_json(load_spec(spec_file)).dump(0) !=
-          spec_to_json(spec).dump(0))
-        throw net::ProtocolError(
-            "NetWorker: state dir '" + config_.state_dir +
-            "' already holds a different spec — use a fresh state dir");
-      current = true;
-    } catch (const util::durable::CheckpointCorruptError&) {
-    }
-  }
-  if (!current) save_spec(spec_file, spec);
+  if (!record_spec(spec_path(config_.state_dir), spec))
+    throw net::ProtocolError(
+        "NetWorker: state dir '" + config_.state_dir +
+        "' already holds a different spec — use a fresh state dir");
   space_ = spec_space(spec);
   spec_ = std::move(spec);
 }

@@ -674,27 +674,17 @@ void FleetRegistry::save(const std::string& path) const {
 }
 
 FleetRegistry FleetRegistry::load(const std::string& path) {
-  const std::string payload =
-      util::durable::DurableFile::read(path, kFleetFormatTag);
-  util::Json json;
-  try {
-    json = util::Json::parse(payload);
-  } catch (const std::invalid_argument& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kParse, error.what());
-  }
-  try {
-    return from_json(json);
-  } catch (const std::invalid_argument& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kInvariant, error.what());
-  } catch (const std::out_of_range& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kInvariant, error.what());
-  } catch (const std::logic_error& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kInvariant, error.what());
-  }
+  return from_payload(
+      util::durable::DurableFile::read(path, kFleetFormatTag), path);
+}
+
+FleetRegistry FleetRegistry::from_payload(const std::string& payload,
+                                          const std::string& file) {
+  using util::durable::CorruptStage;
+  const util::Json json = util::durable::decode_payload(
+      file, CorruptStage::kParse, [&] { return util::Json::parse(payload); });
+  return util::durable::decode_payload(file, CorruptStage::kInvariant,
+                                       [&] { return from_json(json); });
 }
 
 }  // namespace hadas::hw::fleet

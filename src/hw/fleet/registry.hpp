@@ -181,6 +181,9 @@ class FleetRegistry {
   /// Throws util::durable::CheckpointCorruptError (kParse/kInvariant on a
   /// valid envelope with bad content).
   static FleetRegistry load(const std::string& path);
+  /// load()'s bytes-level half: bad JSON is kParse, bad content kInvariant.
+  static FleetRegistry from_payload(const std::string& payload,
+                                    const std::string& file);
 
   /// Canonical full state (deterministically ordered).
   util::Json to_json() const;

@@ -96,19 +96,18 @@ void save_session_state(const std::string& path, const SessionState& state,
             .count());
 }
 
+SessionState session_state_from_payload(const std::string& payload,
+                                        const std::string& file) {
+  return util::durable::decode_payload(
+      file, util::durable::CorruptStage::kParse,
+      [&] { return session_state_from_json(util::Json::parse(payload)); });
+}
+
 std::optional<SessionState> load_session_state(const std::string& path,
                                                const char* format_tag) {
   if (!std::filesystem::exists(path)) return std::nullopt;
-  const std::string payload =
-      util::durable::DurableFile::read(path, format_tag);
-  try {
-    return session_state_from_json(util::Json::parse(payload));
-  } catch (const std::exception& e) {
-    // A CRC-valid envelope around a malformed document is as corrupt as a
-    // torn one: surface it as the documented error, not a raw Json throw.
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kParse, e.what());
-  }
+  return session_state_from_payload(
+      util::durable::DurableFile::read(path, format_tag), path);
 }
 
 bool valid_session_id(const std::string& id) {

@@ -90,6 +90,9 @@ void save_session_state(const std::string& path, const SessionState& state,
 /// session (stage kParse).
 std::optional<SessionState> load_session_state(
     const std::string& path, const char* format_tag = kSessionFormatTag);
+/// Its bytes-level half: decode a payload read out of `file`.
+SessionState session_state_from_payload(const std::string& payload,
+                                        const std::string& file);
 
 /// True for session ids safe to embed in a file name ([A-Za-z0-9._-]{1,64},
 /// not starting with a dot).

@@ -206,6 +206,13 @@ ServeJournalSnapshot journal_snapshot_from_json(const Json& json) {
   return snapshot;
 }
 
+ServeJournalSnapshot journal_snapshot_from_payload(const std::string& payload,
+                                                   const std::string& file) {
+  return hadas::util::durable::decode_payload(file, CorruptStage::kParse, [&] {
+    return journal_snapshot_from_json(Json::parse(payload));
+  });
+}
+
 void save_journal(const CheckpointChain& chain,
                   const ServeJournalSnapshot& snapshot) {
   chain.save(kServeJournalFormatTag, to_json(snapshot).dump(2) + "\n");
@@ -218,14 +225,7 @@ std::optional<LoadedJournal> load_journal(
   const auto loaded = chain.load_newest_valid(
       kServeJournalFormatTag,
       [&parsed](const std::string& payload) {
-        parsed.reset();
-        try {
-          parsed = journal_snapshot_from_json(Json::parse(payload));
-        } catch (const CheckpointCorruptError&) {
-          throw;
-        } catch (const std::exception& e) {
-          throw CheckpointCorruptError("", 0, CorruptStage::kParse, e.what());
-        }
+        parsed = journal_snapshot_from_payload(payload, "");
       },
       warn);
   if (!loaded) return std::nullopt;

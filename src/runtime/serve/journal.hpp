@@ -109,6 +109,11 @@ struct ServeJournalSnapshot {
 util::Json to_json(const ServeJournalSnapshot& snapshot);
 ServeJournalSnapshot journal_snapshot_from_json(const util::Json& json);
 
+/// Decode one journal payload read out of `file`; every failure throws
+/// util::durable::CheckpointCorruptError naming it.
+ServeJournalSnapshot journal_snapshot_from_payload(const std::string& payload,
+                                                   const std::string& file);
+
 /// Rotate `chain` and durably write `snapshot` as the newest slot.
 void save_journal(const hadas::util::durable::CheckpointChain& chain,
                   const ServeJournalSnapshot& snapshot);

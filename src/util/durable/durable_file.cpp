@@ -8,9 +8,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "util/failpoint.hpp"
@@ -44,7 +44,8 @@ void count_durable(std::uint64_t DurableStats::* counter, std::uint64_t n) {
 
 namespace {
 
-constexpr const char* kMagic = "%HADAS-DURABLE";
+/// The header line: this magic, the version, the tag, the payload size.
+constexpr std::string_view kMagic = "%HADAS-DURABLE v";
 /// The line after the payload: this prefix, 16 hex CRC digits, "\n".
 constexpr std::string_view kFooterPrefix = "\n%HADAS-CRC64 ";
 constexpr std::uint32_t kVersion = 1;
@@ -97,33 +98,129 @@ void write_all(int fd, const std::string& path, const char* data,
   }
 }
 
-void fsync_path(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY | O_DIRECTORY
-                                                : O_RDONLY);
-  if (fd < 0) {
-    if (directory) return;  // best-effort: some filesystems refuse dir opens
-    throw std::runtime_error("DurableFile: cannot reopen " + path +
-                             " for fsync");
-  }
+/// fsync the directory holding `path`, so a rename into it is durable.
+void fsync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return;  // best-effort: some filesystems refuse dir opens
   (void)::fsync(fd);
   ::close(fd);
 }
 
-std::string parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
 constexpr std::size_t kFooterBytes = kFooterPrefix.size() + 16 + 1;
 
-/// Whether a file of `file_bytes` holds the payload the header declares
-/// plus the footer. Phrased so a corrupt, huge `declared` cannot overflow.
-bool envelope_fits(std::size_t file_bytes, std::size_t payload_begin,
-                   std::size_t declared) {
-  const std::size_t rest = file_bytes - payload_begin;
-  return declared <= rest && rest - declared >= kFooterBytes;
+/// What the envelope parser found: the inspect() view, the payload, and
+/// the first check that failed (nullopt = a valid envelope).
+struct Envelope {
+  FileInfo info;
+  std::string_view payload;
+  std::optional<CheckpointCorruptError> refusal;
+};
+
+/// The one envelope parser, behind decode() and inspect_bytes(). Checks run
+/// in read() order — magic, header line, fields, version, tag (when one is
+/// expected), length, footer, CRC, end of file — and the first to fail is
+/// the refusal. Parsing goes on as far as the bytes allow, so inspect() can
+/// report every field it can read.
+Envelope parse_envelope(std::string_view bytes, const std::string& file,
+                        const std::string* expected_tag) {
+  Envelope env;
+  FileInfo& info = env.info;
+  info.exists = true;
+  info.file_bytes = bytes.size();
+  const auto refuse = [&](CorruptStage stage, std::size_t offset,
+                          const std::string& detail) {
+    if (!env.refusal) env.refusal.emplace(file, offset, stage, detail);
+  };
+  info.legacy = !bytes.starts_with(kMagic);
+  const std::size_t header_end = bytes.find('\n');
+  std::uint32_t version = 0;
+  std::string tag;
+  std::size_t declared = 0;
+  if (info.legacy)
+    refuse(CorruptStage::kHeader, 0,
+           "missing durable-file magic (legacy or foreign file?)");
+  else if (header_end == std::string_view::npos)
+    refuse(CorruptStage::kHeader, bytes.size(), "unterminated header line");
+  else if (std::istringstream header(std::string(
+               bytes.substr(kMagic.size(), header_end - kMagic.size())));
+           !(header >> version >> tag >> declared))
+    refuse(CorruptStage::kHeader, kMagic.size(), "malformed header fields");
+  if (env.refusal) return env;
+  info.version = version;
+  info.format_tag = tag;
+  info.declared_bytes = declared;
+  info.header_ok = version == kVersion;
+  if (!info.header_ok)
+    refuse(CorruptStage::kHeader, kMagic.size(),
+           "unsupported version v" + std::to_string(version));
+  if (expected_tag && tag != *expected_tag)
+    refuse(CorruptStage::kHeader, kMagic.size(),
+           "format tag '" + tag + "' (expected '" + *expected_tag + "')");
+
+  // Does the file hold the declared payload plus a footer? Phrased so a
+  // corrupt, huge `declared` cannot overflow.
+  const std::size_t payload_begin = header_end + 1;
+  const std::size_t rest = bytes.size() - payload_begin;
+  if (declared > rest || rest - declared < kFooterBytes) {
+    refuse(CorruptStage::kTruncation, bytes.size(),
+           "file holds " + std::to_string(bytes.size()) + " bytes but header " +
+               "declares a " + std::to_string(declared) + "-byte payload " +
+               "(expected >= " +
+               std::to_string(payload_begin + declared + kFooterBytes) + ")");
+    return env;
+  }
+  env.payload = bytes.substr(payload_begin, declared);
+  info.crc_actual = util::hex_u64(crc64(env.payload));
+  const std::size_t footer_begin = payload_begin + declared;
+  const std::size_t end = footer_begin + kFooterBytes;
+  const std::string_view footer = bytes.substr(footer_begin, kFooterBytes);
+  if (!footer.starts_with(kFooterPrefix)) {
+    refuse(CorruptStage::kTruncation, footer_begin,
+           "footer line missing or malformed");
+  } else {
+    info.crc_declared = footer.substr(kFooterPrefix.size(), 16);
+    if (info.crc_declared != info.crc_actual)
+      refuse(CorruptStage::kChecksum, payload_begin,
+             "payload CRC64 " + info.crc_actual + " != declared " +
+                 info.crc_declared);
+  }
+  info.checksum_ok = !info.crc_declared.empty() &&
+                     info.crc_declared == info.crc_actual;
+  // The envelope ends with the footer's newline, and so must the file.
+  const bool terminated = footer.back() == '\n';
+  if (!terminated)
+    refuse(CorruptStage::kTruncation, end - 1,
+           "footer line does not end in a newline");
+  info.length_ok = terminated && bytes.size() == end;
+  if (bytes.size() != end)
+    refuse(CorruptStage::kTruncation, end,
+           std::to_string(bytes.size() - end) +
+               " bytes after the footer, where the file should end");
+  return env;
+}
+
+/// The whole file at `path`; nullopt when it cannot be opened.
+std::optional<std::string> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// read() and read_or_legacy(): load the file once, parse it, count it.
+std::string read_counted(const std::string& path,
+                         const std::string& format_tag, bool legacy_ok) {
+  std::optional<std::string> bytes = slurp(path);
+  if (!bytes) throw std::runtime_error("DurableFile: cannot open " + path);
+  const Envelope env = parse_envelope(*bytes, path, &format_tag);
+  count_durable(env.refusal ? &DurableStats::read_failures
+                            : &DurableStats::reads);
+  if (!env.refusal) return std::string(env.payload);
+  if (legacy_ok && env.info.legacy) return std::move(*bytes);
+  throw *env.refusal;
 }
 
 }  // namespace
@@ -168,22 +265,28 @@ std::uint64_t crc64(std::string_view bytes) {
   return ~crc;
 }
 
-void DurableFile::write(const std::string& path, const std::string& format_tag,
-                        const std::string& payload) {
+std::string DurableFile::encode(const std::string& format_tag,
+                                std::string_view payload) {
   if (format_tag.empty() ||
       format_tag.find_first_of(" \n\t") != std::string::npos)
     throw std::invalid_argument("DurableFile: bad format tag '" + format_tag +
                                 "'");
-  const std::string header = std::string(kMagic) + " v" +
-                             std::to_string(kVersion) + ' ' + format_tag +
-                             ' ' + std::to_string(payload.size()) + '\n';
-  const std::string footer =
-      std::string(kFooterPrefix) + util::hex_u64(crc64(payload)) + '\n';
+  const std::string header = std::string(kMagic) + std::to_string(kVersion) +
+                             ' ' + format_tag + ' ' +
+                             std::to_string(payload.size()) + '\n';
   std::string bytes;
-  bytes.reserve(header.size() + payload.size() + footer.size());
+  bytes.reserve(header.size() + payload.size() + kFooterBytes);
   bytes += header;
   bytes += payload;
-  bytes += footer;
+  bytes += kFooterPrefix;
+  bytes += util::hex_u64(crc64(payload));
+  bytes += '\n';
+  return bytes;
+}
+
+void DurableFile::write(const std::string& path, const std::string& format_tag,
+                        const std::string& payload) {
+  const std::string bytes = encode(format_tag, payload);
 
   failpoint("durable.save.begin");
   const std::string tmp = path + ".tmp";
@@ -193,16 +296,15 @@ void DurableFile::write(const std::string& path, const std::string& format_tag,
                              std::strerror(errno));
   write_all(fd, tmp, bytes.data(), bytes.size());
   failpoint("durable.save.tmp");  // tmp written, not yet synced or renamed
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw std::runtime_error("DurableFile: fsync of " + tmp + " failed");
-  }
+  const bool synced = ::fsync(fd) == 0;
   ::close(fd);
+  if (!synced)
+    throw std::runtime_error("DurableFile: fsync of " + tmp + " failed");
   failpoint("durable.save.prerename");  // previous file still fully intact
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     throw std::runtime_error("DurableFile: cannot rename " + tmp + " to " +
                              path);
-  fsync_path(parent_dir(path), /*directory=*/true);
+  fsync_parent_dir(path);
   count_durable(&DurableStats::writes);
   count_durable(&DurableStats::bytes_written, bytes.size());
   // File site: chaos may tear or bit-flip the fully-written file here to
@@ -213,9 +315,9 @@ void DurableFile::write(const std::string& path, const std::string& format_tag,
 bool DurableFile::write_idempotent(const std::string& path,
                                    const std::string& format_tag,
                                    const std::string& payload) {
-  if (std::filesystem::exists(path)) {
+  if (const std::optional<std::string> bytes = slurp(path)) {
     try {
-      if (read_validated(path, format_tag) == payload) return false;
+      if (decode(*bytes, format_tag, path) == payload) return false;
     } catch (const CheckpointCorruptError&) {
       // Torn or divergent: fall through to the atomic replace.
     }
@@ -226,116 +328,29 @@ bool DurableFile::write_idempotent(const std::string& path,
 
 std::string DurableFile::read(const std::string& path,
                               const std::string& format_tag) {
-  try {
-    std::string payload = read_validated(path, format_tag);
-    count_durable(&DurableStats::reads);
-    return payload;
-  } catch (const CheckpointCorruptError&) {
-    count_durable(&DurableStats::read_failures);
-    throw;
-  }
+  return read_counted(path, format_tag, /*legacy_ok=*/false);
 }
 
-std::string DurableFile::read_validated(const std::string& path,
+std::string DurableFile::read_or_legacy(const std::string& path,
                                         const std::string& format_tag) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("DurableFile: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  return read_counted(path, format_tag, /*legacy_ok=*/true);
+}
 
-  const std::string magic = std::string(kMagic) + " v";
-  if (bytes.rfind(magic, 0) != 0)
-    throw CheckpointCorruptError(path, 0, CorruptStage::kHeader,
-                                 "missing durable-file magic (legacy or "
-                                 "foreign file?)");
-  const std::size_t header_end = bytes.find('\n');
-  if (header_end == std::string::npos)
-    throw CheckpointCorruptError(path, bytes.size(), CorruptStage::kHeader,
-                                 "unterminated header line");
-  std::istringstream header(
-      bytes.substr(magic.size(), header_end - magic.size()));
-  std::uint32_t version = 0;
-  std::string tag;
-  std::size_t declared = 0;
-  if (!(header >> version >> tag >> declared))
-    throw CheckpointCorruptError(path, magic.size(), CorruptStage::kHeader,
-                                 "malformed header fields");
-  if (version != kVersion)
-    throw CheckpointCorruptError(path, magic.size(), CorruptStage::kHeader,
-                                 "unsupported version v" +
-                                     std::to_string(version));
-  if (tag != format_tag)
-    throw CheckpointCorruptError(
-        path, magic.size(), CorruptStage::kHeader,
-        "format tag '" + tag + "' (expected '" + format_tag + "')");
-
-  const std::size_t payload_begin = header_end + 1;
-  if (!envelope_fits(bytes.size(), payload_begin, declared))
-    throw CheckpointCorruptError(
-        path, bytes.size(), CorruptStage::kTruncation,
-        "file holds " + std::to_string(bytes.size()) + " bytes but header " +
-            "declares a " + std::to_string(declared) + "-byte payload " +
-            "(expected >= " +
-            std::to_string(payload_begin + declared + kFooterBytes) + ")");
-  const std::string_view payload =
-      std::string_view(bytes).substr(payload_begin, declared);
-
-  const std::string_view footer =
-      std::string_view(bytes).substr(payload_begin + declared);
-  if (!footer.starts_with(kFooterPrefix))
-    throw CheckpointCorruptError(path, payload_begin + declared,
-                                 CorruptStage::kTruncation,
-                                 "footer line missing or malformed");
-  const std::string_view declared_crc =
-      footer.substr(kFooterPrefix.size(), 16);
-  const std::string actual_crc = util::hex_u64(crc64(payload));
-  if (declared_crc != actual_crc)
-    throw CheckpointCorruptError(
-        path, payload_begin, CorruptStage::kChecksum,
-        "payload CRC64 " + actual_crc + " != declared " +
-            std::string(declared_crc));
-  return std::string(payload);
+std::string_view DurableFile::decode(std::string_view bytes,
+                                     const std::string& format_tag,
+                                     const std::string& file) {
+  Envelope env = parse_envelope(bytes, file, &format_tag);
+  if (env.refusal) throw *env.refusal;
+  return env.payload;
 }
 
 FileInfo DurableFile::inspect(const std::string& path) {
-  FileInfo info;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return info;
-  info.exists = true;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  info.file_bytes = bytes.size();
+  const std::optional<std::string> bytes = slurp(path);
+  return bytes ? inspect_bytes(*bytes) : FileInfo{};
+}
 
-  const std::string magic = std::string(kMagic) + " v";
-  if (bytes.rfind(magic, 0) != 0) {
-    info.legacy = true;
-    return info;
-  }
-  const std::size_t header_end = bytes.find('\n');
-  if (header_end == std::string::npos) return info;
-  std::istringstream header(
-      bytes.substr(magic.size(), header_end - magic.size()));
-  std::uint32_t version = 0;
-  std::string tag;
-  std::size_t declared = 0;
-  if (!(header >> version >> tag >> declared)) return info;
-  info.version = version;
-  info.format_tag = tag;
-  info.declared_bytes = declared;
-  info.header_ok = version == kVersion;
-
-  const std::size_t payload_begin = header_end + 1;
-  info.length_ok = envelope_fits(bytes.size(), payload_begin, declared);
-  if (!info.length_ok) return info;
-  const std::string_view view(bytes);
-  info.crc_actual = util::hex_u64(crc64(view.substr(payload_begin, declared)));
-  const std::string_view footer = view.substr(payload_begin + declared);
-  if (footer.starts_with(kFooterPrefix))
-    info.crc_declared = footer.substr(kFooterPrefix.size(), 16);
-  info.checksum_ok = !info.crc_declared.empty() &&
-                     info.crc_declared == info.crc_actual;
-  return info;
+FileInfo DurableFile::inspect_bytes(std::string_view bytes) {
+  return parse_envelope(bytes, "", nullptr).info;
 }
 
 }  // namespace hadas::util::durable

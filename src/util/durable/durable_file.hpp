@@ -10,7 +10,7 @@ namespace hadas::util::durable {
 /// Which validation rejected a durable file.
 enum class CorruptStage {
   kHeader,      ///< magic/version/format-tag line missing or malformed
-  kTruncation,  ///< fewer payload/footer bytes on disk than the header declares
+  kTruncation,  ///< file length disagrees with the header, or a bad footer
   kChecksum,    ///< payload bytes do not match the CRC-64 footer
   kParse,       ///< envelope valid but the payload failed to parse
   kInvariant,   ///< payload parsed but violates a semantic invariant
@@ -51,12 +51,13 @@ struct FileInfo {
   std::string format_tag;
   std::size_t declared_bytes = 0;  ///< payload size the header promises
   std::size_t file_bytes = 0;      ///< actual size on disk
-  bool length_ok = false;
+  bool length_ok = false;  ///< header + payload + footer, nothing more
   bool checksum_ok = false;
-  std::string crc_declared;  ///< footer CRC (hex)
-  std::string crc_actual;    ///< CRC of the payload bytes on disk (hex)
+  std::string crc_declared;  ///< footer CRC (hex); empty if malformed
+  std::string crc_actual;    ///< CRC of the payload on disk; empty if short
 
   bool valid() const { return header_ok && length_ok && checksum_ok; }
+  bool holds(std::string_view tag) const { return valid() && format_tag == tag; }
 };
 
 /// CRC-64/XZ (ECMA-182 polynomial, reflected) of a byte string, eight
@@ -92,24 +93,41 @@ void count_durable(std::uint64_t DurableStats::* counter, std::uint64_t n = 1);
 ///   <payload>
 ///   \n%HADAS-CRC64 <16 hex digits>\n
 ///
-/// write() goes write-to-temp + fsync + atomic rename (+ directory fsync),
-/// so a crash at any instruction leaves either the previous file or the new
-/// one — never a torn mix. read() validates header, version, format tag,
-/// declared length (truncation detection) and checksum before returning the
-/// payload; every failure throws CheckpointCorruptError naming the file,
-/// byte offset and stage. Failpoints: durable.save.begin / durable.save.tmp
-/// / durable.save.prerename / durable.save.postrename (file site).
+/// and nothing after the footer. write() goes write-to-temp + fsync +
+/// atomic rename (+ directory fsync), so a crash at any instruction leaves
+/// either the previous file or the new one — never a torn mix. One parser
+/// checks header, version, format tag, length, footer and checksum: read()
+/// throws the first failure as a CheckpointCorruptError naming the file,
+/// byte offset and stage; inspect() reports all it found. Failpoints:
+/// durable.save.begin / durable.save.tmp / durable.save.prerename /
+/// durable.save.postrename (file site).
 class DurableFile {
  public:
-  /// Atomically replace `path` with an envelope around `payload`.
-  /// `format_tag` is a short [A-Za-z0-9._-]+ type tag checked on read.
+  /// Atomically replace `path` with encode(format_tag, payload).
   static void write(const std::string& path, const std::string& format_tag,
                     const std::string& payload);
+
+  /// The envelope bytes write() puts on disk. `format_tag` is a short
+  /// [A-Za-z0-9._-]+ type tag checked on read; a tag that is empty or holds
+  /// whitespace throws std::invalid_argument.
+  static std::string encode(const std::string& format_tag,
+                            std::string_view payload);
 
   /// Validate and return the payload. Throws CheckpointCorruptError.
   /// Successful and corrupt reads bump the DurableStats counters.
   static std::string read(const std::string& path,
                           const std::string& format_tag);
+
+  /// read(), except that a file with no envelope at all (no magic at byte
+  /// 0) is a legacy pre-durable payload, returned whole.
+  static std::string read_or_legacy(const std::string& path,
+                                    const std::string& format_tag);
+
+  /// read() of a file's bytes held in memory: a view of the payload inside
+  /// `bytes`; errors name `file`. Counts nothing.
+  static std::string_view decode(std::string_view bytes,
+                                 const std::string& format_tag,
+                                 const std::string& file);
 
   /// write(), unless `path` already holds a valid envelope with this exact
   /// tag and payload — then the disk is left untouched. Returns true when a
@@ -125,10 +143,25 @@ class DurableFile {
   /// errors opening an existing file).
   static FileInfo inspect(const std::string& path);
 
- private:
-  /// read() without the stats accounting.
-  static std::string read_validated(const std::string& path,
-                                    const std::string& format_tag);
+  /// inspect() of a file's bytes held in memory.
+  static FileInfo inspect_bytes(std::string_view bytes);
 };
+
+/// Run `decode()` on a payload read from `file`: a CheckpointCorruptError
+/// without a file name gets `file` filled in, and any other std::exception
+/// becomes a CheckpointCorruptError of `stage` at byte 0 — a CRC-valid
+/// envelope around a document that does not decode is corrupt too.
+template <typename Decode>
+decltype(auto) decode_payload(const std::string& file, CorruptStage stage,
+                              Decode&& decode) {
+  try {
+    return decode();
+  } catch (const CheckpointCorruptError& e) {
+    if (!e.file().empty()) throw;
+    throw CheckpointCorruptError(file, e.byte_offset(), e.stage(), e.detail());
+  } catch (const std::exception& e) {
+    throw CheckpointCorruptError(file, 0, stage, e.what());
+  }
+}
 
 }  // namespace hadas::util::durable

@@ -1,7 +1,8 @@
-// Crash-safe durable state layer: envelope round trips, every corruption
-// stage (header / truncation / checksum) is detected with a structured
-// error, rotating checkpoint chains fall back to the newest valid slot, and
-// the deterministic chaos engine parses schedules and counts failpoint hits.
+// Crash-safe durable state layer: envelope round trips, a pinned on-disk
+// layout, every corruption stage (header / truncation / checksum, bytes
+// after the footer included) is detected with a structured error, rotating
+// checkpoint chains fall back to the newest valid slot, and the
+// deterministic chaos engine parses schedules and counts failpoint hits.
 
 #include <gtest/gtest.h>
 
@@ -139,6 +140,65 @@ TEST(DurableFile, DetectsSingleBitFlips) {
     EXPECT_FALSE(info.checksum_ok);
     EXPECT_NE(info.crc_declared, info.crc_actual);
   }
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, RefusesBytesAfterTheFooter) {
+  const std::string path = temp_path("trailing");
+  DurableFile::write(path, kTag, "hello");
+  const std::string bytes = slurp(path);
+
+  // Bytes appended after the footer.
+  spit(path, bytes + "GARBAGE-APPENDED\n");
+  try {
+    (void)DurableFile::read(path, kTag);
+    FAIL() << "bytes after the footer not detected";
+  } catch (const CheckpointCorruptError& e) {
+    EXPECT_EQ(e.stage(), CorruptStage::kTruncation);
+    EXPECT_EQ(e.byte_offset(), bytes.size());
+    EXPECT_NE(e.detail().find("17 bytes after the footer"), std::string::npos)
+        << e.detail();
+  }
+  EXPECT_FALSE(DurableFile::inspect(path).valid());
+  EXPECT_FALSE(DurableFile::inspect(path).length_ok);
+
+  // The footer's final newline overwritten: the file has the right length
+  // but does not end where the envelope does.
+  std::string unterminated = bytes;
+  unterminated.back() = 'X';
+  spit(path, unterminated);
+  try {
+    (void)DurableFile::read(path, kTag);
+    FAIL() << "unterminated footer not detected";
+  } catch (const CheckpointCorruptError& e) {
+    EXPECT_EQ(e.stage(), CorruptStage::kTruncation);
+    EXPECT_EQ(e.byte_offset(), bytes.size() - 1);
+  }
+  EXPECT_FALSE(DurableFile::inspect(path).valid());
+
+  // A chaos bit flip in the last byte of the file is detected on the next
+  // load, like a flip anywhere else.
+  auto& engine = exec::ChaosEngine::instance();
+  engine.configure(exec::parse_chaos_spec(
+      "bitflip:durable.save.postrename:1:" + std::to_string(bytes.size() * 8)));
+  DurableFile::write(path, kTag, "hello");
+  engine.reset();
+  EXPECT_NE(slurp(path), bytes);
+  EXPECT_THROW((void)DurableFile::read(path, kTag), CheckpointCorruptError);
+  EXPECT_FALSE(DurableFile::inspect(path).valid());
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, EnvelopeLayoutIsPinned) {
+  // The on-disk layout, stated independently of the encoder: CRC-64/XZ of
+  // "hello" is 9b1edae5dbb937b1.
+  const std::string path = temp_path("layout");
+  DurableFile::write(path, kTag, "hello");
+  EXPECT_EQ(slurp(path),
+            "%HADAS-DURABLE v1 hadas-test-v1 5\n"
+            "hello\n"
+            "%HADAS-CRC64 9b1edae5dbb937b1\n");
+  EXPECT_EQ(DurableFile::encode(kTag, "hello"), slurp(path));
   std::remove(path.c_str());
 }
 

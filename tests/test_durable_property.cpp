@@ -68,7 +68,7 @@ std::optional<std::size_t> payload_index(const std::string& payload) {
 /// Payload validator every real chain consumer supplies (the engine parses
 /// and invariant-checks): rejecting here makes load_newest_valid fall back
 /// down the chain — including past torn slots whose mangled envelope makes
-/// them look like enveloppe-less legacy payloads.
+/// them look like envelope-less legacy payloads.
 void validate_payload(const std::string& payload) {
   if (!payload_index(payload).has_value())
     throw std::runtime_error("payload is torn or foreign");

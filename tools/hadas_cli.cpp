@@ -627,7 +627,9 @@ int cmd_verify_checkpoint(const Args& args) {
     table.add_row({"payload bytes declared / file size",
                    std::to_string(info.declared_bytes) + " / " +
                        std::to_string(info.file_bytes) +
-                       (info.length_ok ? "" : "  (TRUNCATED)")});
+                       (info.length_ok              ? ""
+                        : info.crc_actual.empty() ? "  (TRUNCATED)"
+                                                  : "  (TRAILING BYTES)")});
     table.add_row({"CRC-64 declared", info.crc_declared});
     table.add_row({"CRC-64 actual",
                    info.crc_actual + (info.checksum_ok ? "" : "  (MISMATCH)")});
@@ -691,27 +693,21 @@ int cmd_verify_checkpoint(const Args& args) {
       table.add_row({"chaos round", std::to_string(fleet.round())});
       table.add_row({"last transition round",
                      std::to_string(fleet.last_transition_round())});
-    } else if (tag == net::kSessionFormatTag) {
-      const auto session = net::load_session_state(path);
-      table.add_row({"payload", "valid net session journal"});
+    } else if (tag == net::kSessionFormatTag ||
+               tag == dist::kDistSessionFormatTag) {
+      const bool dist_net = tag == dist::kDistSessionFormatTag;
+      const auto session = net::load_session_state(path, tag.c_str());
+      table.add_row({"payload", dist_net ? "valid dist-net session journal"
+                                         : "valid net session journal"});
       table.add_row({"session id", session->session_id});
-      table.add_row({"server fingerprint", session->fingerprint});
+      table.add_row({dist_net ? "spec fingerprint" : "server fingerprint",
+                     session->fingerprint});
       table.add_row({"write acked / unacked bytes",
                      std::to_string(session->write_acked) + " / " +
                          std::to_string(session->write_unacked.size())});
       table.add_row({"read sequence", std::to_string(session->read_seq)});
-    } else if (tag == dist::kDistSessionFormatTag) {
-      const auto session =
-          net::load_session_state(path, dist::kDistSessionFormatTag);
-      table.add_row({"payload", "valid dist-net session journal"});
-      table.add_row({"session id", session->session_id});
-      table.add_row({"spec fingerprint", session->fingerprint});
-      table.add_row({"write acked / unacked bytes",
-                     std::to_string(session->write_acked) + " / " +
-                         std::to_string(session->write_unacked.size())});
-      table.add_row({"read sequence", std::to_string(session->read_seq)});
-      // The app document tells the two roles apart: the coordinator journals
-      // which inbound rounds it pushed, a worker which rounds it uploaded.
+      // A dist-net app document tells the two roles apart: the coordinator
+      // journals which inbound rounds it pushed, a worker which it uploaded.
       if (session->app.contains("pushed"))
         table.add_row({"role / migrant rounds pushed",
                        "coordinator / " +
@@ -724,18 +720,9 @@ int cmd_verify_checkpoint(const Args& args) {
         table.add_row({"island result uploaded",
                        session->app.at("final_sent").as_bool() ? "yes" : "no"});
     } else if (tag == runtime::serve::kServeJournalFormatTag) {
-      const std::string payload =
-          util::durable::DurableFile::read(path, tag);
-      runtime::serve::ServeJournalSnapshot snapshot;
-      try {
-        snapshot = runtime::serve::journal_snapshot_from_json(
-            util::Json::parse(payload));
-      } catch (const util::durable::CheckpointCorruptError&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw util::durable::CheckpointCorruptError(
-            path, 0, util::durable::CorruptStage::kParse, e.what());
-      }
+      const runtime::serve::ServeJournalSnapshot snapshot =
+          runtime::serve::journal_snapshot_from_payload(
+              util::durable::DurableFile::read(path, tag), path);
       table.add_row({"payload", "valid serve journal"});
       table.add_row({"fingerprint", snapshot.fingerprint});
       table.add_row({"next request index", std::to_string(snapshot.next_index)});
