@@ -166,8 +166,10 @@ DistReport DistCoordinator::run() {
   for (std::size_t island = 0; island < spec_.islands; ++island) {
     for (std::size_t round = 0; round + 1 < round_count(spec_); ++round) {
       const std::string path = migrants_path(workdir_, island, round);
-      if (!migrants_file_valid(path)) continue;
-      report.migrants_exchanged += load_migrants_file(path).genomes.size();
+      const std::optional<std::string> payload = read_migrants_payload(path);
+      if (!payload) continue;
+      report.migrants_exchanged +=
+          migrants_from_payload(*payload, path).genomes.size();
     }
   }
   metrics.migrants.inc(report.migrants_exchanged);

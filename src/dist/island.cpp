@@ -15,6 +15,7 @@
 namespace hadas::dist {
 
 using hadas::util::Json;
+using hadas::util::durable::CheckpointCorruptError;
 using hadas::util::durable::CorruptStage;
 using hadas::util::durable::DurableFile;
 using hadas::util::durable::decode_payload;
@@ -330,6 +331,16 @@ MigrantSet load_migrants_file(const std::string& path) {
 
 bool migrants_file_valid(const std::string& path) {
   return DurableFile::inspect(path).holds(kMigrantsFormatTag);
+}
+
+std::optional<std::string> read_migrants_payload(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return std::nullopt;
+  try {
+    return DurableFile::read(path, kMigrantsFormatTag);
+  } catch (const CheckpointCorruptError&) {
+    return std::nullopt;
+  }
 }
 
 bool ensure_migrants_file(const supernet::SearchSpace& space,

@@ -152,6 +152,10 @@ MigrantSet migrants_from_payload(const std::string& payload,
 
 /// True when the migrant file exists and passes envelope validation.
 bool migrants_file_valid(const std::string& path);
+/// The migrant file's payload from one read of it, or nothing while it is
+/// missing or fails envelope validation (not ready: its writer has not
+/// finished, or a repair will rewrite it).
+std::optional<std::string> read_migrants_payload(const std::string& path);
 
 /// Regenerate (or verify) the migrant file island `island` emits after
 /// `round`: a no-op when a valid file already exists, otherwise the island's

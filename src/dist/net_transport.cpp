@@ -347,11 +347,10 @@ bool NetTransport::feed(const std::string& id) {
   for (std::size_t round = 0; round + 1 < round_count(spec_); ++round) {
     if (session.pushed.count(round) != 0) continue;
     const std::string path = migrants_path(workdir_, sender, round);
-    if (!migrants_file_valid(path)) continue;
-    const std::string text =
-        util::durable::DurableFile::read(path, kMigrantsFormatTag);
+    const std::optional<std::string> payload = read_migrants_payload(path);
+    if (!payload) continue;
     append_blob(session.writer, net::FrameType::kDistMigrants, sender, round,
-                text);
+                *payload);
     session.pushed.insert(round);
     dist_net_metrics().migrant_sets_sent.inc();
     if (timed)

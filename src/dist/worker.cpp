@@ -387,10 +387,10 @@ bool NetWorker::work_step() {
       if (sent_.count(round) != 0) continue;
       const std::string path =
           migrants_path(config_.state_dir, config_.island, round);
-      if (!migrants_file_valid(path)) continue;
+      const std::optional<std::string> payload = read_migrants_payload(path);
+      if (!payload) continue;
       append_blob(dialer_.writer(), net::FrameType::kDistMigrants,
-                  config_.island, round,
-                  util::durable::DurableFile::read(path, kMigrantsFormatTag));
+                  config_.island, round, *payload);
       sent_.insert(round);
       dist_net_metrics().migrant_sets_sent.inc();
       queued = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace hadas::nn {
@@ -36,29 +37,68 @@ Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
 
 namespace {
 
-/// Eight-lane dot product. The eight independent accumulator chains let the
-/// compiler keep the loop in vector registers without reassociating a single
-/// serial reduction (which strict FP forbids); the final combine order is
-/// fixed, so results are identical on every host and thread count.
-inline float dot8(const float* HADAS_RESTRICT a, const float* HADAS_RESTRICT b,
-                  std::size_t n) {
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  float acc4 = 0.0f, acc5 = 0.0f, acc6 = 0.0f, acc7 = 0.0f;
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    acc0 += a[k + 0] * b[k + 0];
-    acc1 += a[k + 1] * b[k + 1];
-    acc2 += a[k + 2] * b[k + 2];
-    acc3 += a[k + 3] * b[k + 3];
-    acc4 += a[k + 4] * b[k + 4];
-    acc5 += a[k + 5] * b[k + 5];
-    acc6 += a[k + 6] * b[k + 6];
-    acc7 += a[k + 7] * b[k + 7];
+/// Four floats in one SIMD register (GCC/Clang vector extension: SSE2 on
+/// x86-64, NEON on AArch64). Each lane is plain IEEE single precision, so a
+/// vector add or multiply gives the same bits as the scalar one per lane.
+typedef float f32x4 __attribute__((vector_size(16)));
+constexpr std::size_t kWidth = 4;  // outputs per vector
+constexpr std::size_t kRows = 4;   // rows of A per block
+
+f32x4 load4(const float* p) {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Outputs C[i + r][j .. j+4) for r < R of C = A · B^T, from the row-major
+/// transposed weights `bt` (K x ldb, column j of it is row j of B).
+///
+/// Every output keeps the order of an eight-lane dot product over k: lane l
+/// sums the products with k ≡ l (mod 8), k below the last multiple of 8, in
+/// ascending k from 0.0f; the lanes combine as ((0+4)+(1+5))+((2+6)+(3+7));
+/// the k beyond the last multiple of 8 sum from 0.0f into a tail that is
+/// added last. The result is therefore the same on every host and for any
+/// blocking, and vectorising across outputs (not along k) needs no
+/// horizontal reduction.
+template <std::size_t R>
+void nt_block(const float* a, std::size_t lda, const float* bt, std::size_t ldb,
+              std::size_t kk, std::size_t j, f32x4* out) {
+  const std::size_t k8 = kk - kk % 8;
+  const auto lane = [&](std::size_t first, std::size_t end, std::size_t step,
+                        f32x4* sum) {
+    for (std::size_t r = 0; r < R; ++r) sum[r] = f32x4{};
+    for (std::size_t k = first; k < end; k += step) {
+      const f32x4 b = load4(bt + k * ldb + j);
+      for (std::size_t r = 0; r < R; ++r) sum[r] += a[r * lda + k] * b;
+    }
+  };
+  f32x4 lo[R], hi[R], left[R], right[R];
+  lane(0, k8, 8, lo);
+  lane(4, k8, 8, hi);
+  for (std::size_t r = 0; r < R; ++r) left[r] = lo[r] + hi[r];
+  lane(1, k8, 8, lo);
+  lane(5, k8, 8, hi);
+  for (std::size_t r = 0; r < R; ++r) left[r] = left[r] + (lo[r] + hi[r]);
+  lane(2, k8, 8, lo);
+  lane(6, k8, 8, hi);
+  for (std::size_t r = 0; r < R; ++r) right[r] = lo[r] + hi[r];
+  lane(3, k8, 8, lo);
+  lane(7, k8, 8, hi);
+  for (std::size_t r = 0; r < R; ++r) right[r] = right[r] + (lo[r] + hi[r]);
+  lane(k8, kk, 1, lo);  // the tail
+  for (std::size_t r = 0; r < R; ++r) out[r] = (left[r] + right[r]) + lo[r];
+}
+
+template <std::size_t R>
+void nt_rows(const Matrix& a, std::size_t i, const std::vector<float>& bt,
+             std::size_t ldb, Matrix& c) {
+  f32x4 out[R];
+  for (std::size_t j = 0; j < c.cols(); j += kWidth) {
+    nt_block<R>(a.row_ptr(i), a.cols(), bt.data(), ldb, a.cols(), j, out);
+    const std::size_t n = std::min(kWidth, c.cols() - j);
+    for (std::size_t r = 0; r < R; ++r)
+      std::memcpy(c.row_ptr(i + r) + j, &out[r], n * sizeof(float));
   }
-  float tail = 0.0f;
-  for (; k < n; ++k) tail += a[k] * b[k];
-  return (((acc0 + acc4) + (acc1 + acc5)) + ((acc2 + acc6) + (acc3 + acc7))) +
-         tail;
 }
 
 }  // namespace
@@ -66,12 +106,15 @@ inline float dot8(const float* HADAS_RESTRICT a, const float* HADAS_RESTRICT b,
 Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: shape mismatch");
   Matrix c(a.rows(), b.rows());
+  // B^T, its rows zero-padded to a whole number of vectors.
   const std::size_t kk = a.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row_ptr(i);
-    float* crow = c.row_ptr(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) crow[j] = dot8(arow, b.row_ptr(j), kk);
-  }
+  const std::size_t ldb = (b.rows() + kWidth - 1) / kWidth * kWidth;
+  std::vector<float> bt(kk * ldb, 0.0f);
+  for (std::size_t j = 0; j < b.rows(); ++j)
+    for (std::size_t k = 0; k < kk; ++k) bt[k * ldb + j] = b.at(j, k);
+  std::size_t i = 0;
+  for (; i + kRows <= a.rows(); i += kRows) nt_rows<kRows>(a, i, bt, ldb, c);
+  for (; i < a.rows(); ++i) nt_rows<1>(a, i, bt, ldb, c);
   return c;
 }
 

@@ -5,8 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "nn/losses.hpp"
-
 namespace hadas::nn {
 
 namespace {
@@ -23,17 +21,13 @@ Matrix gather_rows(const Matrix& m, const std::vector<std::size_t>& idx,
 }  // namespace
 
 TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
-                         const FeatureDataset& val) const {
+                         const FeatureDataset& val, const SoftTargets* soft) const {
   if (train.size() == 0) throw std::invalid_argument("Trainer: empty train set");
   if (train.labels.size() != train.size())
     throw std::invalid_argument("Trainer: label count mismatch");
-  const bool use_kd =
-      config_.kd_weight > 0.0 && train.teacher_logits.rows() == train.size();
-  // The teacher is frozen: soften its logits once per fit instead of
-  // re-running softmax on every gathered minibatch of every epoch.
-  const SoftTargets soft =
-      use_kd ? soften_teacher(train.teacher_logits, config_.kd_temperature)
-             : SoftTargets{};
+  const bool use_kd = config_.kd_weight > 0.0 && soft != nullptr;
+  if (use_kd && soft->probs.rows() != train.size())
+    throw std::invalid_argument("Trainer: soft target count mismatch");
 
   hadas::util::Rng rng(config_.shuffle_seed);
   std::vector<std::size_t> order(train.size());
@@ -73,14 +67,12 @@ TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
       for (std::size_t i = begin; i < end; ++i) y[i - begin] = train.labels[order[i]];
 
       const Matrix logits = head.forward_cached(x);
-      LossResult nll = nll_loss(logits, y);
-      double combined = nll.loss;
-
+      const HybridLoss loss = hybrid_loss(logits, y, use_kd ? soft : nullptr,
+                                          order, begin, config_.kd_weight);
+      double combined = loss.nll;
       if (use_kd) {
-        const LossResult kd = kd_loss_soft(logits, soft, order, begin);
-        stats.kd_loss += kd.loss;
-        combined += config_.kd_weight * kd.loss;
-        nll.dlogits.axpy(static_cast<float>(config_.kd_weight), kd.dlogits);
+        stats.kd_loss += loss.kd;
+        combined += config_.kd_weight * loss.kd;
       }
 
       if (epoch == config_.inject_nan_epoch && batches == 0 &&
@@ -94,9 +86,9 @@ TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
         break;  // before backward/sgd_step: the parameters stay untouched
       }
 
-      stats.nll_loss += nll.loss;
+      stats.nll_loss += loss.nll;
       stats.train_loss += combined;
-      head.backward(nll.dlogits);
+      head.backward(loss.dlogits);
       head.sgd_step(lr, config_.momentum, config_.weight_decay);
       ++batches;
     }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/losses.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "util/rng.hpp"
@@ -44,18 +45,17 @@ struct TrainResult {
 };
 
 /// In-memory classification dataset: one feature row per sample, with hard
-/// labels and (optionally) frozen teacher logits for knowledge distillation.
+/// labels.
 struct FeatureDataset {
-  Matrix features;                       // n x d
-  std::vector<std::int32_t> labels;      // n
-  Matrix teacher_logits;                 // n x classes, may be empty (no KD)
+  Matrix features;                   // n x d
+  std::vector<std::int32_t> labels;  // n
 
   std::size_t size() const { return features.rows(); }
 };
 
 /// Mini-batch SGD trainer for an exit head. The backbone is frozen (its
-/// features and teacher logits are inputs), exactly matching HADAS's exit
-/// training scheme: only the head's parameters are optimized.
+/// features and softened teacher logits are inputs), exactly matching HADAS's
+/// exit training scheme: only the head's parameters are optimized.
 class Trainer {
  public:
   explicit Trainer(TrainConfig config) : config_(config) {}
@@ -63,8 +63,9 @@ class Trainer {
   const TrainConfig& config() const { return config_; }
 
   /// Train `head` on `train`, reporting validation accuracy on `val` after
-  /// every epoch. KD is used only when teacher logits are present and
-  /// kd_weight > 0.
+  /// every epoch (0 for an empty `val`). `soft` holds the frozen teacher's
+  /// softened logits for the train rows (see soften_teacher, at
+  /// kd_temperature); KD is used only when it is given and kd_weight > 0.
   ///
   /// NaN guard: the combined loss of every batch is checked before the
   /// gradients touch the parameters. On the first non-finite loss the epoch
@@ -74,7 +75,8 @@ class Trainer {
   /// a std::runtime_error naming the epoch and batch, so a diverged head
   /// can never silently poison downstream accuracy numbers.
   TrainResult fit(MlpClassifier& head, const FeatureDataset& train,
-                  const FeatureDataset& val) const;
+                  const FeatureDataset& val,
+                  const SoftTargets* soft = nullptr) const;
 
   /// Evaluate accuracy of `head` on a dataset.
   static double evaluate(const MlpClassifier& head, const FeatureDataset& data);

@@ -181,6 +181,28 @@ TEST(DistIsland, MigrantFileRoundTripAndValidation) {
                util::durable::CheckpointCorruptError);
 }
 
+TEST(DistIsland, MigrantPayloadIsReadOnceAndAbsentUntilValid) {
+  const std::string dir = fresh_dir("migrant_payload");
+  const std::string path = dist::migrants_path(dir, 1, 0);
+  EXPECT_FALSE(dist::read_migrants_payload(path).has_value());  // missing
+
+  dist::MigrantSet migrants;
+  migrants.island = 1;
+  migrants.genomes = {{4, 3, 2, 1, 0}};
+  dist::write_migrants_file(path, migrants);
+  const auto before = util::durable::durable_stats();
+  const std::optional<std::string> payload = dist::read_migrants_payload(path);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(*payload, dist::migrants_to_payload(migrants));
+  EXPECT_EQ(util::durable::durable_stats().reads, before.reads + 1);
+
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  file.seekp(64);
+  file.put('X');
+  file.close();
+  EXPECT_FALSE(dist::read_migrants_payload(path).has_value());  // corrupt
+}
+
 TEST(DistIsland, HeartbeatRoundTrip) {
   const std::string dir = fresh_dir("hb");
   const std::string path = dist::heartbeat_path(dir, 0);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "data/synthetic_task.hpp"
 #include "dynn/exit_bank.hpp"
 #include "supernet/baselines.hpp"
@@ -153,6 +156,74 @@ TEST(ExitBank, HigherSeparabilityLiftsExits) {
     ++total;
   }
   EXPECT_GT(wins, total * 3 / 4);
+}
+
+// Golden fingerprint of every number a bank hands to the search: each exit's
+// val_accuracy, its val/test masks and the bit patterns of its entropies and
+// max-probs. Any change to the arithmetic or its order in src/nn (a kernel, a
+// fused loss, FP contraction) moves the hash, so tier-1 catches a bit drift
+// that would otherwise only show up as a changed front.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t hash_doubles(std::uint64_t h, const std::vector<double>& values) {
+  for (double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = fnv1a(h, &bits, sizeof bits);
+  }
+  return h;
+}
+
+std::uint64_t hash_mask(std::uint64_t h, const std::vector<bool>& mask) {
+  for (bool b : mask) {
+    const unsigned char byte = b ? 1 : 0;
+    h = fnv1a(h, &byte, 1);
+  }
+  return h;
+}
+
+std::uint64_t hash_exit(std::uint64_t h, const dynn::TrainedExit& e) {
+  h = hash_doubles(h, {e.val_accuracy});
+  h = hash_mask(h, e.val_correct);
+  h = hash_mask(h, e.test_correct);
+  h = hash_doubles(h, e.val_entropy);
+  h = hash_doubles(h, e.test_entropy);
+  return hash_doubles(h, e.test_max_prob);
+}
+
+std::uint64_t bank_fingerprint(const dynn::ExitBank& bank) {
+  std::uint64_t h = hash_exit(0xcbf29ce484222325ULL, bank.final_exit());
+  for (std::size_t layer : bank.eligible_layers())
+    h = hash_exit(h, bank.exit_at(layer));
+  return h;
+}
+
+TEST(ExitBank, GoldenFingerprintOfLinearHeads) {
+  EXPECT_EQ(bank_fingerprint(fx().bank), 0xe6d7ebc476107238ULL)
+      << std::hex << bank_fingerprint(fx().bank);
+}
+
+TEST(ExitBank, GoldenFingerprintOfHiddenHeads) {
+  // A hidden layer routes training through matmul (dh = dlogits * W2), the
+  // ReLU mask and matmul_tn's zero-row skip, which linear heads never reach.
+  data::DataConfig small = hadas::test::small_data();
+  small.train_size = 300;
+  small.val_size = 200;
+  small.test_size = 200;
+  const data::SyntheticTask task(small);
+  dynn::ExitBankConfig config = hadas::test::small_bank();
+  config.head_hidden = 24;
+  config.train.epochs = 3;
+  const dynn::ExitBank bank(task, fx().cost, 6.5, config);
+  EXPECT_EQ(bank_fingerprint(bank), 0x1ab650728d445dfeULL)
+      << std::hex << bank_fingerprint(bank);
 }
 
 }  // namespace

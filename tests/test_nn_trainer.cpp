@@ -53,26 +53,27 @@ TEST(Trainer, DeterministicForSameSeeds) {
 }
 
 TEST(Trainer, KdTermChangesTrainingAndIsReported) {
-  auto train = make_task(300, 4, 6, 2.0, 7);
+  const auto train = make_task(300, 4, 6, 2.0, 7);
   const auto val = make_task(150, 4, 6, 2.0, 8);
   // Teacher logits: the ground-truth one-hot scaled (a confident teacher).
-  train.teacher_logits = Matrix(train.size(), 4);
+  Matrix teacher_logits(train.size(), 4);
   for (std::size_t i = 0; i < train.size(); ++i)
-    train.teacher_logits.at(i, static_cast<std::size_t>(train.labels[i])) = 8.0f;
+    teacher_logits.at(i, static_cast<std::size_t>(train.labels[i])) = 8.0f;
 
   TrainConfig with_kd;
   with_kd.epochs = 3;
   with_kd.kd_weight = 1.0;
+  const SoftTargets soft = soften_teacher(teacher_logits, with_kd.kd_temperature);
   hadas::util::Rng rng(9);
   MlpClassifier head(6, 0, 4, rng);
-  const TrainResult result = Trainer(with_kd).fit(head, train, val);
+  const TrainResult result = Trainer(with_kd).fit(head, train, val, &soft);
   EXPECT_GT(result.epochs.front().kd_loss, 0.0);
 
   TrainConfig no_kd = with_kd;
   no_kd.kd_weight = 0.0;
   hadas::util::Rng rng2(9);
   MlpClassifier head2(6, 0, 4, rng2);
-  const TrainResult result2 = Trainer(no_kd).fit(head2, train, val);
+  const TrainResult result2 = Trainer(no_kd).fit(head2, train, val, &soft);
   EXPECT_EQ(result2.epochs.front().kd_loss, 0.0);
 }
 
